@@ -314,6 +314,8 @@ def build_report(assess_dir: str | Path, cfg: Config | None = None) -> tuple[Rep
     if cfg is None:
         cfg = Config()
     assess_path = Path(assess_dir)
+    if not assess_path.is_dir():
+        raise FileNotFoundError(f"assessment directory not found: {assess_path}")
     populations_path = assess_path / "populations.csv"
     windows_path = assess_path / "windows.csv"
     summary_path = assess_path / "summary.csv"

@@ -8,6 +8,7 @@ given an explicit seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -18,9 +19,12 @@ from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtr
 
-EXACT_P_MAX_N = 8  # 8! = 40320 permutations, still enumerable
+# 8! = 40320 permutations, still enumerable. The smallest exact two-sided p
+# is 2/n!, so at the default alpha = 0.01 a window with n <= 5 can never be
+# significant (2/120 ~ 0.017); the filter stays p < alpha regardless.
+EXACT_P_MAX_N = 8
 DEFAULT_BOOTSTRAP_ITERATIONS = 512
 DEFAULT_A12_THRESHOLD = 0.56  # Vargha-Delaney "small" boundary
 BOOTSTRAP_ALPHA = 0.05
@@ -108,24 +112,37 @@ def _pearson(a: list[float], b: list[float]) -> float:
     return max(-1.0, min(1.0, num / den))
 
 
+@functools.lru_cache(maxsize=EXACT_P_MAX_N)
+def _permutation_indices(n: int) -> np.ndarray:
+    """Read-only (n!, n) matrix whose rows are the permutations of range(n)."""
+    flat = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        dtype=np.intp,
+        count=math.factorial(n) * n,
+    )
+    perms = flat.reshape(-1, n)
+    perms.setflags(write=False)
+    return perms
+
+
 def _permutation_p(rank_x: list[float], rank_y: list[float], rho: float) -> float:
     """Two-sided exact p: share of y-rank permutations whose |rho| reaches
-    the observed one (within a guard band well below rank-rho resolution)."""
+    the observed one (within a guard band well below rank-rho resolution).
+
+    Average ranks are multiples of 0.5 with mean (n+1)/2, so every centred
+    product is a multiple of 0.25 and each numerator is exact in float64
+    whatever the summation order; the hit count cannot depend on how the
+    matrix product is evaluated."""
     n = len(rank_x)
     mean_x = fsum(rank_x) / n
     mean_y = fsum(rank_y) / n
-    dx = [v - mean_x for v in rank_x]
-    dy = [v - mean_y for v in rank_y]
-    den = math.sqrt(fsum(v * v for v in dx) * fsum(v * v for v in dy))
-    threshold = abs(rho) - _PERM_EPS
-    hits = 0
-    total = 0
-    for perm in itertools.permutations(dy):
-        total += 1
-        num = sum(a * b for a, b in zip(dx, perm))
-        if abs(num / den) >= threshold:
-            hits += 1
-    return hits / total
+    dx = np.array(rank_x, dtype=float) - mean_x
+    dy = np.array(rank_y, dtype=float) - mean_y
+    den = math.sqrt(fsum(dx * dx) * fsum(dy * dy))
+    perms = _permutation_indices(n)
+    nums = dy[perms] @ dx
+    hits = int(np.count_nonzero(np.abs(nums / den) >= abs(rho) - _PERM_EPS))
+    return hits / len(perms)
 
 
 def _t_approximation_p(rho: float, n: int) -> float:
@@ -133,7 +150,8 @@ def _t_approximation_p(rho: float, n: int) -> float:
     if denominator <= 0.0:
         return 0.0
     t_stat = abs(rho) * math.sqrt((n - 2) / denominator)
-    return float(2.0 * _student_t.sf(t_stat, n - 2))
+    # the same call scipy.stats.t.sf makes, without its argument handling
+    return float(2.0 * stdtr(n - 2, -t_stat))
 
 
 def spearman(

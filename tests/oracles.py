@@ -4,13 +4,17 @@ Deliberately written with different mechanics than the library: dictionary
 position averaging instead of a sweep for ranks, textbook formulas with
 plain sums for Pearson, numpy matrix algebra for permutation enumeration,
 a double loop for A12, and a naive recompute-everything recursion for the
-exhaustive Scott-Knott grouping.
+exhaustive Scott-Knott grouping. exact_permutation_p_loop is the library's
+former one-permutation-at-a-time enumeration, kept as the bit-exact
+reference for its vectorised replacement.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import statistics
+from math import fsum
 
 import numpy as np
 
@@ -59,6 +63,26 @@ def exact_permutation_p(x, y, eps: float = 1e-12) -> float:
     perms = np.array(list(itertools.permutations(rank_y)), dtype=float)
     rhos = _rho_matrix(rank_x, perms)
     return float(np.mean(np.abs(rhos) >= observed - eps))
+
+
+def exact_permutation_p_loop(rank_x, rank_y, rho, eps: float = 1e-12) -> float:
+    """Two-sided permutation p over already-ranked inputs, one permutation
+    of the centred y ranks at a time, with the library's guard band."""
+    n = len(rank_x)
+    mean_x = fsum(rank_x) / n
+    mean_y = fsum(rank_y) / n
+    dx = [v - mean_x for v in rank_x]
+    dy = [v - mean_y for v in rank_y]
+    den = math.sqrt(fsum(v * v for v in dx) * fsum(v * v for v in dy))
+    threshold = abs(rho) - eps
+    hits = 0
+    total = 0
+    for perm in itertools.permutations(dy):
+        total += 1
+        num = sum(a * b for a, b in zip(dx, perm))
+        if abs(num / den) >= threshold:
+            hits += 1
+    return hits / total
 
 
 def mc_permutation_p(x, y, samples: int = 20000, seed: int = 0, eps: float = 1e-12) -> float:

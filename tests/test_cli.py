@@ -5,11 +5,15 @@ the full mine -> assess -> report chain on the fixture repository.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import beliefminer
 from beliefminer.cli import main
 
 _SCRIPT = shutil.which("beliefminer")
@@ -248,6 +252,13 @@ def test_report_on_empty_assessment(tmp_path, capsys):
     assert "Projects analyzed: 0" in text
 
 
+def test_report_missing_assessment_exits_one(tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["report", str(tmp_path / "nonexistent"), "--out", str(out)]) == 1
+    assert "error: assessment directory not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- synth ---------------------------------------------------------------------
 
 
@@ -277,6 +288,26 @@ def test_synth_bad_scenario(tmp_path, capsys):
 def test_synth_missing_scenario(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "none.txt"), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- start-up ------------------------------------------------------------------
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second per stage process at start-up;
+    # the statistics engine needs only scipy.special
+    src = Path(beliefminer.__file__).resolve().parents[1]
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    probe = "import sys, beliefminer.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert result.stdout.strip() == "False"
 
 
 # --- installed script ------------------------------------------------------------

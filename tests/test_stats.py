@@ -13,6 +13,8 @@ import pytest
 
 from beliefminer.stats import (
     EXACT_P_MAX_N,
+    _permutation_p,
+    _t_approximation_p,
     GroupEntry,
     RankedGroup,
     SupportScore,
@@ -30,6 +32,7 @@ from beliefminer.stats import (
 from oracles import (
     a12_brute,
     exact_permutation_p,
+    exact_permutation_p_loop,
     mc_permutation_p,
     rank_brute,
     scott_knott_brute,
@@ -150,6 +153,49 @@ def test_t_approximation_formula():
 
     t_stat = abs(score.rho) * math.sqrt((10 - 2) / (1 - score.rho**2))
     assert score.p_value == pytest.approx(2 * student_t.sf(t_stat, 8))
+
+
+@pytest.mark.parametrize(
+    "n, tied",
+    [(n, False) for n in range(2, EXACT_P_MAX_N + 1)]
+    + [(n, True) for n in range(3, EXACT_P_MAX_N + 1)],
+)
+def test_exact_p_equals_loop_reference(n, tied):
+    # the vectorised count must equal the one-permutation-at-a-time loop
+    # exactly, for both signs of rho, with and without tied ranks
+    rng = np.random.default_rng(1000 + 10 * n + tied)
+    signs = set()
+    checked = 0
+    while checked < 12:
+        if tied:
+            x = [float(v) for v in rng.integers(0, n - 1, n)]
+            y = [float(v) for v in rng.integers(0, n - 1, n)]
+        else:
+            x = [float(v) for v in rng.permutation(n)]
+            y = [float(v) for v in rng.permutation(n)]
+        if min(x) == max(x) or min(y) == max(y):
+            continue
+        if tied and len(set(x)) == n and len(set(y)) == n:
+            continue
+        rank_x = rank_with_ties(x)
+        rank_y = rank_with_ties(y)
+        score = spearman(x, y)
+        expected = exact_permutation_p_loop(rank_x, rank_y, score.rho)
+        assert _permutation_p(rank_x, rank_y, score.rho) == expected
+        assert score.p_value == expected
+        signs.add(math.copysign(1.0, score.rho))
+        checked += 1
+    assert signs == {1.0, -1.0}
+
+
+def test_t_approximation_equals_scipy_stats_sf():
+    from scipy.stats import t as student_t
+
+    for n in (3, 4, 9, 10, 17, 50, 300, 5000):
+        for rho in np.linspace(-0.995, 0.995, 81):
+            rho = float(rho)
+            t_stat = abs(rho) * math.sqrt((n - 2) / (1.0 - rho * rho))
+            assert _t_approximation_p(rho, n) == 2 * student_t.sf(t_stat, n - 2)
 
 
 def test_t_approximation_near_exact_for_medium_n():
