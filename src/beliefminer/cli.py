@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--follow-renames",
         action="store_true",
-        help="collapse rename notation onto the post-rename path",
+        help="record a renamed file under its post-rename path",
     )
     mine.add_argument(
         "--extend",

@@ -7,11 +7,15 @@ JSON-lines cache files that the rest of the pipeline consumes.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import re
 import subprocess
-from dataclasses import asdict, dataclass
+import tempfile
+from collections.abc import Iterator
+from contextlib import closing
+from dataclasses import dataclass
 from pathlib import Path
 
 from .labeling import KeywordSet, classify_message
@@ -54,9 +58,14 @@ SANITY_MIN_ACTIVE_YEARS = 3.0
 
 _SECONDS_PER_YEAR = 365.25 * 86400
 
-_GIT_LOG_FORMAT = "%x01%H%x02%ct%x02%ae%x02%an%x02%B%x03"
-_NUMSTAT_LINE = re.compile(r"^(\d+|-)\t(\d+|-)\t(.+)$")
-_BRACE_RENAME = re.compile(r"\{([^{}]*) => ([^{}]*)\}")
+# Ends in a NUL, so the message may hold any other character.
+_GIT_LOG_FORMAT = "%x01%H%x02%ct%x02%ae%x02%an%x02%B%x00"
+# One `--numstat -z` entry (a commit's first one follows a newline); the
+# path is empty for a rename, whose source and destination follow as the
+# next two NUL-terminated fields.
+_NUMSTAT_ENTRY = re.compile(r"\n?(\d+|-)\t(\d+|-)\t(.*)", re.DOTALL)
+# Characters per read of the streamed `git log` output.
+_LOG_READ_CHARS = 64 * 1024
 
 
 class RepositoryError(Exception):
@@ -139,10 +148,23 @@ def is_source_file(
     return ext in extensions
 
 
+def _git_command(repo_path: str | Path, args: tuple[str, ...]) -> list[str]:
+    return ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
+
+
+def _git_failure(
+    repo_path: str | Path, args: tuple[str, ...], stderr: str, returncode: int
+) -> RepositoryError:
+    detail = stderr.strip().splitlines()
+    return RepositoryError(
+        f"git {args[0]} failed in {repo_path}: {detail[0] if detail else returncode}"
+    )
+
+
 def _run_git(repo_path: str | Path, *args: str) -> str:
     try:
         proc = subprocess.run(
-            ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args],
+            _git_command(repo_path, args),
             capture_output=True,
             text=True,
             encoding="utf-8",
@@ -151,11 +173,50 @@ def _run_git(repo_path: str | Path, *args: str) -> str:
     except OSError as exc:
         raise RepositoryError(f"cannot run git: {exc}") from exc
     if proc.returncode != 0:
-        detail = proc.stderr.strip().splitlines()
-        raise RepositoryError(
-            f"git {args[0]} failed in {repo_path}: {detail[0] if detail else proc.returncode}"
-        )
+        raise _git_failure(repo_path, args, proc.stderr, proc.returncode)
     return proc.stdout
+
+
+def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
+    """Run git and yield its NUL-separated output fields while it still runs.
+
+    The output is decoded in text mode but without newline translation, so
+    a path reported by ``-z`` comes through verbatim. Every field but the
+    last is yielded as soon as the NUL after it arrives; the last one only
+    once git has exited with status 0, so a consumer never finishes on the
+    output of a failed run. stderr goes to a temporary file, which cannot
+    fill and stall git the way an unread pipe can. git is killed if the
+    consumer stops early, and reaped on every path.
+    """
+    with tempfile.TemporaryFile() as stderr:
+        try:
+            proc = subprocess.Popen(
+                _git_command(repo_path, args), stdout=subprocess.PIPE, stderr=stderr
+            )
+        except OSError as exc:
+            raise RepositoryError(f"cannot run git: {exc}") from exc
+        with proc, io.TextIOWrapper(
+            proc.stdout, encoding="utf-8", errors="replace", newline=""
+        ) as text:
+            pending: list[str] = []
+            try:
+                while block := text.read(_LOG_READ_CHARS):
+                    fields = block.split("\0")
+                    if len(fields) == 1:
+                        pending.append(block)
+                        continue
+                    pending.append(fields[0])
+                    yield "".join(pending)
+                    yield from fields[1:-1]
+                    pending = [fields[-1]]
+            except BaseException:
+                proc.kill()
+                raise
+        if proc.returncode != 0:
+            stderr.seek(0)
+            detail = stderr.read().decode("utf-8", errors="replace")
+            raise _git_failure(repo_path, args, detail, proc.returncode)
+    yield "".join(pending)
 
 
 def _ensure_repository(repo_path: str | Path) -> None:
@@ -176,16 +237,6 @@ def _has_commits(repo_path: str | Path) -> bool:
     return True
 
 
-def _rename_target(path: str) -> str:
-    """Collapse a git rename notation path to the post-rename path."""
-    if "{" in path and "=>" in path:
-        resolved = _BRACE_RENAME.sub(lambda m: m.group(2), path)
-        return resolved.replace("//", "/")
-    if " => " in path:
-        return path.split(" => ", 1)[1]
-    return path
-
-
 def mine_repository(
     repo_path: str | Path,
     first_parent: bool = True,
@@ -196,12 +247,14 @@ def mine_repository(
 
     By default only the first-parent chain of HEAD is walked, so work merged
     from side branches is attributed to nothing (merge commits themselves
-    carry no diff: merge churn is always excluded). With follow_renames,
-    rename notation paths are collapsed to the post-rename path; otherwise
-    a renamed file appears as one deletion plus one addition.
+    carry no diff: merge churn is always excluded). With follow_renames, a
+    renamed file is recorded under its post-rename path; otherwise it
+    appears as one deletion plus one addition. Paths are recorded verbatim,
+    whatever characters they contain.
 
-    An empty repository yields an empty result. Unparsable log lines are
-    skipped and counted, never fatal.
+    The log is parsed while git still produces it. An empty repository
+    yields an empty result. Unparsable log entries are skipped and counted,
+    never fatal; a failing git raises RepositoryError.
     """
     _ensure_repository(repo_path)
     if not _has_commits(repo_path):
@@ -210,6 +263,7 @@ def mine_repository(
     args = [
         "log",
         "--numstat",
+        "-z",
         "--diff-merges=off",
         "--no-renames" if not follow_renames else "-M",
         f"--pretty=format:{_GIT_LOG_FORMAT}",
@@ -217,7 +271,6 @@ def mine_repository(
     if first_parent:
         args.append("--first-parent")
     args.append("HEAD")
-    out = _run_git(repo_path, *args)
 
     records: list[ChangeRecord] = []
     seen_pairs: set[tuple[str, str]] = set()
@@ -225,45 +278,51 @@ def mine_repository(
     authors: set[str] = set()
     first_time: int | None = None
     last_time: int | None = None
+    commit_id: str | None = None  # None while no usable commit header is open
 
-    for chunk in out.split("\x01"):
-        if not chunk.strip():
-            continue
-        head, sep, body = chunk.partition("\x03")
-        if not sep:
-            skipped += 1
-            continue
-        fields = head.split("\x02")
-        if len(fields) != 5:
-            skipped += 1
-            continue
-        commit_id, raw_time, email, name, message = fields
-        try:
-            commit_time = int(raw_time)
-        except ValueError:
-            skipped += 1
-            continue
-        commits += 1
-        author = (email.strip() or name.strip() or "unknown").lower()
-        authors.add(author)
-        first_time = commit_time if first_time is None else min(first_time, commit_time)
-        last_time = commit_time if last_time is None else max(last_time, commit_time)
-        is_fix, _ = classify_message(message, keywords)
-        if is_fix:
-            fixes += 1
-        for line in body.splitlines():
-            if not line.strip():
+    # With -z every field ends in a NUL: a commit is its header, one field
+    # per numstat entry and an empty field before the next header. Only a
+    # header starts with \x01: an entry starts with a count or "-", and the
+    # two paths of a rename are consumed where they are expected.
+    with closing(_stream_git(repo_path, *args)) as fields:
+        for field in fields:
+            if not field:
                 continue
-            match = _NUMSTAT_LINE.match(line)
+            if field[0] == "\x01":
+                commit_id = None
+                header = field[1:].split("\x02", 4)
+                if len(header) != 5:
+                    skipped += 1
+                    continue
+                raw_id, raw_time, email, name, message = header
+                try:
+                    commit_time = int(raw_time)
+                except ValueError:
+                    skipped += 1
+                    continue
+                commit_id = raw_id
+                commits += 1
+                author = (email.strip() or name.strip() or "unknown").lower()
+                authors.add(author)
+                first_time = commit_time if first_time is None else min(first_time, commit_time)
+                last_time = commit_time if last_time is None else max(last_time, commit_time)
+                is_fix, _ = classify_message(message, keywords)
+                if is_fix:
+                    fixes += 1
+                continue
+            match = _NUMSTAT_ENTRY.fullmatch(field)
             if match is None:
                 skipped += 1
                 continue
             raw_ins, raw_del, path = match.groups()
+            if not path:
+                next(fields, "")  # rename source
+                path = next(fields, "")
+            if commit_id is None or not path:
+                continue
             # binary files report "-"; count them as zero-churn touches
             insertions = 0 if raw_ins == "-" else int(raw_ins)
             deletions = 0 if raw_del == "-" else int(raw_del)
-            if follow_renames:
-                path = _rename_target(path)
             key = (commit_id, path)
             if key in seen_pairs:
                 continue
@@ -280,7 +339,7 @@ def mine_repository(
                 )
             )
     if skipped:
-        logger.warning("skipped %d unparsable log lines in %s", skipped, repo_path)
+        logger.warning("skipped %d unparsable log entries in %s", skipped, repo_path)
     return MiningResult(
         records=records,
         commits_seen=commits,
@@ -394,11 +453,27 @@ _HISTORY_FIELDS = (
 _RELEASE_FIELDS = ("tag_name", "release_time", "ordinal")
 
 
+# json.dumps(..., ensure_ascii=False) builds a fresh encoder per call.
+_encode_row = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_history(records: list[ChangeRecord], path: str | Path) -> None:
     """Write change records as one JSON object per line, UTF-8, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(json.dumps(asdict(record), ensure_ascii=False))
+            fh.write(
+                _encode_row(
+                    {
+                        "commit_id": record.commit_id,
+                        "commit_time": record.commit_time,
+                        "author": record.author,
+                        "file_path": record.file_path,
+                        "insertions": record.insertions,
+                        "deletions": record.deletions,
+                        "is_bug_fix": record.is_bug_fix,
+                    }
+                )
+            )
             fh.write("\n")
 
 
@@ -435,7 +510,15 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
 def write_releases(releases: list[Release], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for release in releases:
-            fh.write(json.dumps(asdict(release), ensure_ascii=False))
+            fh.write(
+                _encode_row(
+                    {
+                        "tag_name": release.tag_name,
+                        "release_time": release.release_time,
+                        "ordinal": release.ordinal,
+                    }
+                )
+            )
             fh.write("\n")
 
 

@@ -38,7 +38,7 @@ DEFAULT_STEMS: tuple[str, ...] = (
     "resol",
 )
 
-_TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,9 @@ class KeywordSet:
                 raise ValueError(f"invalid keyword stem: {stem!r}")
 
 
+_DEFAULT_KEYWORDS = KeywordSet()
+
+
 def classify_message(
     message: str, keywords: KeywordSet | None = None
 ) -> tuple[bool, list[str]]:
@@ -65,16 +68,16 @@ def classify_message(
     ("resolved" matches "resol") while embedded occurrences do not
     ("prefix" does not match "fix").
     """
-    if keywords is None:
-        keywords = KeywordSet()
-    tokens = set(_TOKEN_SPLIT.split(message.lower()))
-    tokens.discard("")
-    matched = sorted(
-        stem
-        for stem in set(keywords.stems)
-        if any(token.startswith(stem) for token in tokens)
-    )
-    return bool(matched), matched
+    stems = tuple((_DEFAULT_KEYWORDS if keywords is None else keywords).stems)
+    # One C-level prefix test per token against all stems at once; only the
+    # few tokens that pass are looked up, one prefix length at a time. A
+    # token's prefix is never a stem with a non-alphanumeric character.
+    hits = [token for token in set(_TOKEN.findall(message.lower())) if token.startswith(stems)]
+    if not hits:
+        return False, []
+    stem_set = set(stems)
+    lengths = {len(stem) for stem in stem_set}
+    return True, sorted({token[:n] for token in hits for n in lengths} & stem_set)
 
 
 def load_keyword_file(path: str | Path, extend: bool = False) -> KeywordSet:

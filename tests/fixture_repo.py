@@ -9,6 +9,9 @@ computed by hand and are pinned in tests/test_metrics.py.
 All file lines are globally unique, edits remove from the top and append
 at the bottom, so numstat insertion/deletion counts are exact by
 construction.
+
+Three smaller builders make single-purpose repositories: file names git
+would quote, a rename, and a two-commit history with chosen messages.
 """
 
 from __future__ import annotations
@@ -194,3 +197,86 @@ def build_fixture_repo(repo: Path) -> None:
 
     for entry in _POST_MERGE_COMMITS:
         commit(*entry)
+
+
+def _commit_files(repo: Path, day: int, message: str, files: dict[str, str]) -> None:
+    for path, text in files.items():
+        target = repo / path
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8", newline="")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", message, env=_identity_env(day, ALICE))
+
+
+def _init(repo: Path) -> None:
+    repo.mkdir(parents=True, exist_ok=True)
+    _git(repo.parent, "init", "-q", "-b", "main", str(repo))
+
+
+# Paths git C-quotes in its line-based output even with core.quotepath=false
+# (a quote, a backslash, control characters), a non-ASCII name, and names
+# that look like git's rename notation. Each file holds as many lines as its
+# value says; the second commit appends one line to the first path.
+ODD_PATHS = {
+    'src/we"ird.py': 2,
+    "src/back\\slash.py": 3,
+    "src/tab\there.py": 4,
+    "src/cr\rname.py": 5,
+    "src/new\nline.py": 6,
+    "src/ctl\x01name.py": 7,
+    "src/naïve.py": 8,
+    "src/a => b.py": 9,
+    "src/{old => new}.py": 10,
+}
+
+
+def build_odd_paths_repo(repo: Path) -> None:
+    _init(repo)
+    contents = {
+        path: "".join(f"line {i} of {path!r}\n" for i in range(count))
+        for path, count in ODD_PATHS.items()
+    }
+    _commit_files(repo, 0, "import odd file names", contents)
+    first = next(iter(ODD_PATHS))
+    _commit_files(repo, 1, "fix quoting bug", {first: contents[first] + "one more\n"})
+
+
+# A module moved to another directory with two lines appended, and a file
+# renamed in place without edits.
+RENAME_LINES = 10
+
+
+def build_rename_repo(repo: Path) -> None:
+    _init(repo)
+    module = "".join(f"module line {i}\n" for i in range(RENAME_LINES))
+    keep = "".join(f"kept line {i}\n" for i in range(RENAME_LINES))
+    _commit_files(repo, 0, "add module", {"pkg/old/mod.py": module, "lib/keep.py": keep})
+    (repo / "pkg/old/mod.py").unlink()
+    (repo / "lib/keep.py").unlink()
+    _commit_files(
+        repo,
+        1,
+        "move module",
+        {"pkg/new/mod.py": module + "added 1\nadded 2\n", "lib/kept.py": keep},
+    )
+
+
+def build_two_commit_repo(repo: Path, messages: tuple[str, str]) -> list[str]:
+    """Two commits, each adding its own one-line file; returns the blob ids
+    of the added files, oldest first. A message is passed through a file,
+    so it may be longer than a command-line argument can be."""
+    _init(repo)
+    blobs = []
+    for day, (name, message) in enumerate(zip(("first.py", "second.py"), messages)):
+        (repo / name).write_text(f"{name}\n", encoding="utf-8")
+        message_file = repo.parent / f"{repo.name}-message-{day}.txt"
+        message_file.write_text(message, encoding="utf-8")
+        _git(repo, "add", name)
+        _git(repo, "commit", "-q", "-F", str(message_file), env=_identity_env(day, ALICE))
+        blobs.append(_git(repo, "rev-parse", f"HEAD:{name}").strip())
+    return blobs
+
+
+def delete_loose_object(repo: Path, object_id: str) -> None:
+    """Corrupt the repository: git fails when it needs this object."""
+    (repo / ".git" / "objects" / object_id[:2] / object_id[2:]).unlink()

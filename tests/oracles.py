@@ -6,18 +6,21 @@ plain sums for Pearson, numpy matrix algebra for permutation enumeration,
 a double loop for A12, and a naive recompute-everything recursion for the
 exhaustive Scott-Knott grouping. exact_permutation_p_loop is the library's
 former one-permutation-at-a-time enumeration, kept as the bit-exact
-reference for its vectorised replacement.
+reference for its vectorised replacement; classify_message_loop is the
+former stem-by-stem keyword matcher, kept the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import statistics
 from math import fsum
 
 import numpy as np
 
+from beliefminer.labeling import KeywordSet
 from beliefminer.stats import Treatment, split_is_distinct
 
 
@@ -83,6 +86,21 @@ def exact_permutation_p_loop(rank_x, rank_y, rho, eps: float = 1e-12) -> float:
         if abs(num / den) >= threshold:
             hits += 1
     return hits / total
+
+
+def classify_message_loop(message, keywords=None):
+    """(is_bug_fix, matched_stems) by testing every distinct stem against
+    every token of the message."""
+    if keywords is None:
+        keywords = KeywordSet()
+    tokens = set(re.split(r"[^a-z0-9]+", message.lower()))
+    tokens.discard("")
+    matched = sorted(
+        stem
+        for stem in set(keywords.stems)
+        if any(token.startswith(stem) for token in tokens)
+    )
+    return bool(matched), matched
 
 
 def mc_permutation_p(x, y, samples: int = 20000, seed: int = 0, eps: float = 1e-12) -> float:

@@ -16,6 +16,8 @@ import pytest
 import beliefminer
 from beliefminer.cli import main
 
+from fixture_repo import build_two_commit_repo, delete_loose_object
+
 _SCRIPT = shutil.which("beliefminer")
 
 
@@ -103,6 +105,15 @@ def test_mine_missing_repo(tmp_path, capsys):
     code = main(["mine", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_mine_fails_when_git_log_dies(tmp_path, capsys):
+    repo = tmp_path / "broken"
+    delete_loose_object(repo, build_two_commit_repo(repo, ("add first", "add second"))[0])
+    out = tmp_path / "o"
+    assert main(["mine", str(repo), "--out", str(out), "--force"]) == 1
+    assert "git log failed" in capsys.readouterr().err
+    assert not out.joinpath("history.jsonl").exists()
 
 
 def test_mine_missing_keyword_file(tmp_path, fixture_repo, capsys):

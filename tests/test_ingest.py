@@ -1,10 +1,12 @@
 """Tests for git history mining, release extraction, and cache files."""
 
 import json
+import signal
 import subprocess
 
 import pytest
 
+from beliefminer import ingest
 from beliefminer.ingest import (
     CacheError,
     ChangeRecord,
@@ -29,8 +31,14 @@ from fixture_repo import (
     FIRST_PARENT_COMMITS,
     FIRST_PARENT_FIXES,
     FIRST_PARENT_RECORDS,
+    ODD_PATHS,
     RELEASE_DAYS,
+    RENAME_LINES,
     T0,
+    build_odd_paths_repo,
+    build_rename_repo,
+    build_two_commit_repo,
+    delete_loose_object,
 )
 
 
@@ -301,3 +309,100 @@ def test_change_record_and_release_are_value_types():
     assert rec == ChangeRecord("c" * 40, 1, "a@b", "x.py", 1, 2, True)
     rel = Release("v1", 10, 1)
     assert rel == Release("v1", 10, 1)
+
+
+@pytest.mark.parametrize("follow_renames", [False, True])
+def test_odd_paths_recorded_verbatim(tmp_path, follow_renames):
+    repo = tmp_path / "odd"
+    build_odd_paths_repo(repo)
+    result = mine_repository(repo, follow_renames=follow_renames)
+    assert result.commits_seen == 2
+    assert result.skipped_lines == 0
+    first = next(iter(ODD_PATHS))
+    churn = sorted((r.file_path, r.insertions, r.is_bug_fix) for r in result.records)
+    assert churn == sorted(
+        [(path, count, False) for path, count in ODD_PATHS.items()] + [(first, 1, True)]
+    )
+    assert all(is_source_file(path) for path in ODD_PATHS)
+    cache = tmp_path / "history.jsonl"
+    write_history(result.records, cache)
+    assert read_history(cache) == result.records
+
+
+def test_follow_renames_records_destination(tmp_path):
+    repo = tmp_path / "renames"
+    build_rename_repo(repo)
+    moved = mine_repository(repo, follow_renames=True)
+    latest = moved.records[0].commit_id
+    assert moved.skipped_lines == 0
+    assert sorted(
+        (r.file_path, r.insertions, r.deletions)
+        for r in moved.records
+        if r.commit_id == latest
+    ) == [("lib/kept.py", 0, 0), ("pkg/new/mod.py", 2, 0)]
+    # without rename detection a move is a deletion plus an addition
+    split = mine_repository(repo)
+    assert sorted(
+        (r.file_path, r.insertions, r.deletions)
+        for r in split.records
+        if r.commit_id == latest
+    ) == [
+        ("lib/keep.py", 0, RENAME_LINES),
+        ("lib/kept.py", RENAME_LINES, 0),
+        ("pkg/new/mod.py", RENAME_LINES + 2, 0),
+        ("pkg/old/mod.py", 0, RENAME_LINES),
+    ]
+
+
+@pytest.mark.parametrize("missing", [0, 1], ids=["oldest-blob", "newest-blob"])
+def test_mine_raises_when_git_log_dies(tmp_path, missing):
+    repo = tmp_path / "broken"
+    blobs = build_two_commit_repo(repo, ("add first", "add second"))
+    delete_loose_object(repo, blobs[missing])
+    with pytest.raises(RepositoryError, match="git log failed"):
+        mine_repository(repo)
+
+
+def test_stream_stopped_early_kills_and_reaps_git(tmp_path, monkeypatch):
+    repo = tmp_path / "long"
+    build_two_commit_repo(repo, ("x" * 70000, "add second"))
+    started = []
+    real_popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(real_popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(ingest.subprocess, "Popen", spy)
+    # over a megabyte of output after the first field: git is still writing
+    # into the full pipe when the consumer stops
+    fields = ingest._stream_git(repo, "log", "--format=%H%x00" + "%B" * 20)
+    assert len(next(fields)) == 40
+    fields.close()
+    (proc,) = started
+    assert proc.returncode == -signal.SIGKILL
+    assert proc.stdout.closed
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        # more characters than one read of the streamed log, multi-byte ones
+        # straddling the reads, and the only fix keyword at the very end
+        "ü€ word " * 9000 + "fix",
+        # the log format's own separators inside the message
+        "update parser \x01 \x02 \x03 \x1b[0m then fix",
+    ],
+    ids=["longer-than-a-read", "control-characters"],
+)
+def test_mine_message_is_one_commit(tmp_path, message):
+    repo = tmp_path / "messages"
+    build_two_commit_repo(repo, (message, "add second"))
+    result = mine_repository(repo)
+    assert result.commits_seen == 2
+    assert result.bug_fix_commits == 1
+    assert result.skipped_lines == 0
+    assert {(r.file_path, r.is_bug_fix) for r in result.records} == {
+        ("first.py", True),
+        ("second.py", False),
+    }

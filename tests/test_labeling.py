@@ -1,5 +1,7 @@
 """Tests for bug-fix message classification and keyword loading."""
 
+import random
+
 import pytest
 
 from beliefminer.labeling import (
@@ -8,6 +10,8 @@ from beliefminer.labeling import (
     classify_message,
     load_keyword_file,
 )
+
+from oracles import classify_message_loop
 
 
 def test_default_stem_inventory():
@@ -107,3 +111,73 @@ def test_load_keyword_file_empty_fails(tmp_path):
     path.write_text("# only comments\n\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_keyword_file(path)
+
+
+# The message vocabulary of the benchmark's git-history generator.
+_FIX_PHRASES = (
+    "fix", "fixed", "bug in", "resolve crash in", "correct handling of",
+    "patch error path of", "solve problem with", "debug failure in",
+    "repair broken", "address issue in",
+)
+_NEUTRAL_VERBS = (
+    "add", "update", "refactor", "extend", "document", "rename", "move",
+    "clean up", "tune", "rework", "adjust", "split", "simplify",
+)
+_NEUTRAL_NOUNS = (
+    "parser", "loader", "cache", "handler", "options", "layout", "index",
+    "walker", "helpers", "settings", "encoder", "scheduler",
+)
+
+
+def _benchmark_style_messages(count: int, seed: int = 0) -> list[str]:
+    rng = random.Random(seed)
+    messages = []
+    for i in range(count):
+        stem = f"mod{i:04d}"
+        if rng.random() < 0.35:
+            subject = f"{rng.choice(_FIX_PHRASES)} {stem}"
+        else:
+            subject = f"{rng.choice(_NEUTRAL_VERBS)} {rng.choice(_NEUTRAL_NOUNS)} in {stem}"
+        if rng.random() < 0.25:
+            subject += f"\n\nKeeps the {rng.choice(_NEUTRAL_NOUNS)} layout stable.\nSee {stem}."
+        messages.append(subject)
+    return messages
+
+
+_ORACLE_MESSAGES = [
+    "",
+    "   \n\t ",
+    "Fixes the parser crash",
+    "fixe fixes fixer: prefix suffix",
+    "hotfix, bugfix; fix-up/fix_up (fix)",
+    "fix2 2fix f1x 404 error e404",
+    "...!!!???",
+    "a-b a_b ab-c",
+    "Fixé le bogue — ÉRROR résolu",
+    "é éfix fixé",
+    "\u212aernel bug",  # KELVIN SIGN lowercases to an ASCII k
+    "FİX the İSSUE",  # dotted capital I lowercases to i + combining dot
+    "ſolve ﬁx",  # long s and the fi ligature stay non-ASCII
+    "ＦＩＸ full-width",
+    "\u0661\u0662 bug٣",  # Arabic-Indic digits are not token characters
+    "DEBUG: Resolved issue #42 (memory)\r\n\r\nSigned-off-by: x",
+    *_benchmark_style_messages(400),
+]
+
+
+@pytest.mark.parametrize(
+    "keywords",
+    [
+        None,
+        KeywordSet(("fix", "fixe")),
+        KeywordSet(("bug", "fix", "bug", "fix", "fixe", "fix")),
+        KeywordSet(("a-b", "é", "fix", "ab")),
+        KeywordSet(DEFAULT_STEMS + ("f", "e4", "4")),
+    ],
+    ids=["default", "overlapping", "duplicated", "non-alphanumeric", "short"],
+)
+def test_classify_equals_loop_reference(keywords):
+    for message in _ORACLE_MESSAGES:
+        assert classify_message(message, keywords) == classify_message_loop(
+            message, keywords
+        ), message
