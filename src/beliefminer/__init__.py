@@ -1,100 +1,4 @@
 """Quantify empirical support for ten defect-prediction beliefs from a git
 repository's release history."""
 
-from .analysis import (
-    BeliefPopulation,
-    SizeThresholds,
-    TrendResult,
-    assess_project,
-    belief_population,
-    bucket_windows,
-    coverage,
-    growth_decay,
-    prevalence,
-    rank_beliefs,
-    rank_beliefs_by_size,
-    support_label,
-)
-from .config import Config, ConfigError, load_config
-from .ingest import (
-    ChangeRecord,
-    ProjectSummary,
-    Release,
-    RepositoryError,
-    extract_history,
-    extract_releases,
-    is_source_file,
-    mine_repository,
-    summarize,
-)
-from .labeling import KeywordSet, classify_message
-from .metrics import BELIEF_IDS, BeliefVector, HcmConfig, compute_all
-from .stats import (
-    RankedGroup,
-    SupportScore,
-    Treatment,
-    a12,
-    bootstrap_different,
-    rank_with_ties,
-    scott_knott,
-    spearman,
-)
-from .synthgen import ScenarioSpec, generate
-from .windowing import (
-    DefectCounts,
-    ReleaseWindow,
-    build_windows,
-    count_post_defects,
-    qualify_window,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BELIEF_IDS",
-    "BeliefPopulation",
-    "BeliefVector",
-    "ChangeRecord",
-    "Config",
-    "ConfigError",
-    "DefectCounts",
-    "HcmConfig",
-    "KeywordSet",
-    "ProjectSummary",
-    "RankedGroup",
-    "Release",
-    "ReleaseWindow",
-    "RepositoryError",
-    "ScenarioSpec",
-    "SizeThresholds",
-    "SupportScore",
-    "Treatment",
-    "TrendResult",
-    "a12",
-    "assess_project",
-    "belief_population",
-    "bootstrap_different",
-    "bucket_windows",
-    "build_windows",
-    "classify_message",
-    "compute_all",
-    "count_post_defects",
-    "coverage",
-    "extract_history",
-    "extract_releases",
-    "generate",
-    "growth_decay",
-    "is_source_file",
-    "load_config",
-    "mine_repository",
-    "prevalence",
-    "qualify_window",
-    "rank_beliefs",
-    "rank_beliefs_by_size",
-    "rank_with_ties",
-    "scott_knott",
-    "spearman",
-    "summarize",
-    "support_label",
-    "__version__",
-]

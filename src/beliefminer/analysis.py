@@ -12,12 +12,13 @@ import csv
 import logging
 import math
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import Config
+from .config import DEFAULTS, Config
 from .ingest import ChangeRecord, Release
-from .metrics import BELIEF_IDS, BeliefVector, HcmConfig, compute_all
+from .metrics import BELIEF_IDS, BeliefVector, compute_all
 from .stats import (
     RankedGroup,
     SupportScore,
@@ -30,10 +31,6 @@ from .windowing import ReleaseWindow, build_windows, count_post_defects, qualify
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ALPHA = 0.01
-DEFAULT_MIN_OBSERVATIONS = 4
-DEFAULT_SUPPORT_THRESHOLD = 0.40
-DEFAULT_TREND_THRESHOLD = 0.40
 REPLICATION_MEDIAN_DF = 18.0
 
 LABEL_NONE = "none"
@@ -124,8 +121,8 @@ def belief_population(
     belief_id: str,
     scored_windows: list[tuple[ReleaseWindow, BeliefVector]],
     releases_total: int,
-    alpha: float = DEFAULT_ALPHA,
-    min_n: int = DEFAULT_MIN_OBSERVATIONS,
+    alpha: float = DEFAULTS.alpha,
+    min_n: int = DEFAULTS.min_observations,
 ) -> BeliefPopulation:
     """Correlate each window's vector and keep only significant scores.
 
@@ -169,15 +166,12 @@ def assess_project(
     project_id: str,
     records: list[ChangeRecord],
     releases: list[Release],
-    cfg: Config | None = None,
+    cfg: Config = DEFAULTS,
 ) -> ProjectAssessment:
     """Run windowing, metrics, and population construction for one project."""
-    if cfg is None:
-        cfg = Config()
     windows = build_windows(
         releases, records, post_days=cfg.post_days, extensions=frozenset(cfg.extensions)
     )
-    hcm_cfg = HcmConfig(period_days=cfg.period_days, decay_rate=cfg.decay_rate)
     window_rows: list[WindowRow] = []
     per_belief: dict[str, list[tuple[ReleaseWindow, BeliefVector]]] = {
         belief: [] for belief in BELIEF_IDS
@@ -197,7 +191,7 @@ def assess_project(
         if not qualified:
             continue
         defects = count_post_defects(window, records)
-        for vector in compute_all(window, defects, hcm_cfg):
+        for vector in compute_all(window, defects, cfg):
             per_belief[vector.belief_id].append((window, vector))
     populations = {
         belief: belief_population(
@@ -219,14 +213,15 @@ def assess_project(
 
 
 def support_label(rho: float) -> str:
-    """Map |rho| to its support band (none below 0.40, then weak, support,
-    strong, very_strong at 0.50/0.60/0.70)."""
+    """Map |rho| to its support band: none below the default support
+    threshold (0.40), then weak, support, strong, very_strong at
+    0.50/0.60/0.70."""
     if not math.isfinite(rho):
         raise ValueError("rho must be finite")
     magnitude = abs(rho)
     if magnitude > 1.0:
         raise ValueError("rho must lie in [-1, 1]")
-    if magnitude < 0.40:
+    if magnitude < DEFAULTS.support_threshold:
         return LABEL_NONE
     if magnitude < 0.50:
         return LABEL_WEAK
@@ -239,7 +234,7 @@ def support_label(rho: float) -> str:
 
 def coverage(
     populations: list[BeliefPopulation],
-    threshold: float = DEFAULT_SUPPORT_THRESHOLD,
+    threshold: float = DEFAULTS.support_threshold,
 ) -> int:
     """Number of beliefs whose median |rho| reaches the support threshold.
     Empty populations never count."""
@@ -256,7 +251,7 @@ def coverage(
 
 def prevalence(
     populations: list[BeliefPopulation],
-    threshold: float = DEFAULT_SUPPORT_THRESHOLD,
+    threshold: float = DEFAULTS.support_threshold,
 ) -> float | None:
     """Percentage of pooled significant scores reaching the threshold, or
     None when there are no scores at all."""
@@ -269,9 +264,9 @@ def prevalence(
 
 def rank_beliefs(
     populations: list[BeliefPopulation],
-    seed: int = 0,
-    iterations: int = 512,
-    a12_threshold: float = 0.56,
+    seed: int = DEFAULTS.seed,
+    iterations: int = DEFAULTS.bootstrap_iterations,
+    a12_threshold: float = DEFAULTS.a12_threshold,
 ) -> list[RankedGroup]:
     """Scott-Knott over the ten beliefs' pooled |rho| scores across projects.
     Beliefs with no significant score anywhere are dropped with a warning."""
@@ -291,7 +286,7 @@ def rank_beliefs(
 
 
 def size_thresholds(
-    distinct_file_counts: list[int], replication_mode: bool = False
+    distinct_file_counts: list[int], replication_mode: bool = DEFAULTS.replication_mode
 ) -> SizeThresholds:
     """Median and Q3 of the dataset's own D_F distribution. Replication mode
     pins the median cut to the published value of 18."""
@@ -314,7 +309,7 @@ def bucket_for(distinct_files: int, thresholds: SizeThresholds) -> str:
 
 
 def bucket_windows(
-    window_rows: list[WindowRow], replication_mode: bool = False
+    window_rows: list[WindowRow], replication_mode: bool = DEFAULTS.replication_mode
 ) -> tuple[SizeThresholds, dict[tuple[str, int], str]]:
     """Assign each qualified window a size bucket from the dataset-wide D_F
     distribution. Windows with the bare minimum D_F = 3 stay unbucketed."""
@@ -336,9 +331,9 @@ def bucket_windows(
 def rank_beliefs_by_size(
     populations: list[BeliefPopulation],
     bucket_by_window: dict[tuple[str, int], str],
-    seed: int = 0,
-    iterations: int = 512,
-    a12_threshold: float = 0.56,
+    seed: int = DEFAULTS.seed,
+    iterations: int = DEFAULTS.bootstrap_iterations,
+    a12_threshold: float = DEFAULTS.a12_threshold,
 ) -> list[RankedGroup]:
     """Scott-Knott over up to 30 (size bucket x belief) treatments, labels
     like S_B5. Unbucketed windows and empty combinations are dropped."""
@@ -368,8 +363,8 @@ def rank_beliefs_by_size(
 def growth_decay(
     population: BeliefPopulation,
     release_times: dict[int, int],
-    threshold: float = DEFAULT_TREND_THRESHOLD,
-    min_scores: int = DEFAULT_MIN_OBSERVATIONS,
+    threshold: float = DEFAULTS.trend_threshold,
+    min_scores: int = DEFAULTS.min_observations,
 ) -> TrendResult:
     """Correlate a belief's |rho| scores against their release dates.
 
@@ -420,31 +415,35 @@ _SUMMARY_COLUMNS = (
 )
 
 
-def _open_csv_writer(path: Path, columns: tuple[str, ...]):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(columns)
-    return fh, writer
+def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[list]) -> None:
+    """Write a header and rows as UTF-8 CSV with "\n" line ends; rows may be
+    a generator, which is consumed as the file is written."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> None:
     ordered = sorted(
         populations, key=lambda p: (p.project_id, BELIEF_IDS.index(p.belief_id))
     )
-    fh, writer = _open_csv_writer(path, _POPULATION_COLUMNS)
-    with fh:
-        for population in ordered:
-            for score in sorted(population.scores, key=lambda s: s.release_ordinal or 0):
-                writer.writerow(
-                    [
-                        population.project_id,
-                        population.belief_id,
-                        score.release_ordinal,
-                        repr(score.rho),
-                        repr(score.p_value),
-                        score.n,
-                    ]
-                )
+    write_csv(
+        path,
+        _POPULATION_COLUMNS,
+        (
+            [
+                population.project_id,
+                population.belief_id,
+                score.release_ordinal,
+                repr(score.rho),
+                repr(score.p_value),
+                score.n,
+            ]
+            for population in ordered
+            for score in sorted(population.scores, key=lambda s: s.release_ordinal or 0)
+        ),
+    )
 
 
 def read_populations_csv(
@@ -479,19 +478,21 @@ def read_populations_csv(
 
 
 def write_windows_csv(window_rows: list[WindowRow], path: Path) -> None:
-    fh, writer = _open_csv_writer(path, _WINDOW_COLUMNS)
-    with fh:
-        for row in sorted(window_rows, key=lambda r: (r.project_id, r.release_ordinal)):
-            writer.writerow(
-                [
-                    row.project_id,
-                    row.release_ordinal,
-                    row.release_time,
-                    row.distinct_files,
-                    int(row.right_censored),
-                    int(row.qualified),
-                ]
-            )
+    write_csv(
+        path,
+        _WINDOW_COLUMNS,
+        (
+            [
+                row.project_id,
+                row.release_ordinal,
+                row.release_time,
+                row.distinct_files,
+                int(row.right_censored),
+                int(row.qualified),
+            ]
+            for row in sorted(window_rows, key=lambda r: (r.project_id, r.release_ordinal))
+        ),
+    )
 
 
 def read_windows_csv(path: Path) -> list[WindowRow]:
@@ -516,34 +517,38 @@ def write_exclusions_csv(populations: list[BeliefPopulation], path: Path) -> Non
     ordered = sorted(
         populations, key=lambda p: (p.project_id, BELIEF_IDS.index(p.belief_id))
     )
-    fh, writer = _open_csv_writer(path, _EXCLUSION_COLUMNS)
-    with fh:
-        for population in ordered:
-            for reason in (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT):
-                writer.writerow(
-                    [
-                        population.project_id,
-                        population.belief_id,
-                        reason,
-                        population.exclusions.get(reason, 0),
-                    ]
-                )
+    write_csv(
+        path,
+        _EXCLUSION_COLUMNS,
+        (
+            [
+                population.project_id,
+                population.belief_id,
+                reason,
+                population.exclusions.get(reason, 0),
+            ]
+            for population in ordered
+            for reason in (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT)
+        ),
+    )
 
 
 def write_summary_csv(rows: list[SummaryRow], path: Path) -> None:
-    fh, writer = _open_csv_writer(path, _SUMMARY_COLUMNS)
-    with fh:
-        for row in sorted(rows, key=lambda r: r.project_id):
-            writer.writerow(
-                [
-                    row.project_id,
-                    row.commits,
-                    repr(row.bug_fix_fraction),
-                    row.releases,
-                    row.developers,
-                    repr(row.active_years),
-                ]
-            )
+    write_csv(
+        path,
+        _SUMMARY_COLUMNS,
+        (
+            [
+                row.project_id,
+                row.commits,
+                repr(row.bug_fix_fraction),
+                row.releases,
+                row.developers,
+                repr(row.active_years),
+            ]
+            for row in sorted(rows, key=lambda r: r.project_id)
+        ),
+    )
 
 
 def read_summary_csv(path: Path) -> list[SummaryRow]:

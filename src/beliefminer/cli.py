@@ -20,10 +20,11 @@ from .analysis import (
     write_summary_csv,
     write_windows_csv,
 )
-from .config import Config, ConfigError, load_config
+from .config import DEFAULTS, Config, ConfigError, load_config
 from .ingest import (
     CacheError,
     ChangeRecord,
+    MiningResult,
     Release,
     RepositoryError,
     apply_sanity_checks,
@@ -40,8 +41,6 @@ from .reporting import build_report, write_report
 from .synthgen import ScenarioError, generate, parse_scenario_file
 
 logger = logging.getLogger(__name__)
-
-_SECONDS_PER_YEAR = 365.25 * 86400
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Config:
-    cfg = load_config(args.config) if args.config else Config()
+    cfg = load_config(args.config) if args.config else DEFAULTS
     overrides: dict[str, object] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -134,10 +133,7 @@ def _resolve_config(args: argparse.Namespace) -> Config:
         overrides["replication_mode"] = True
     if getattr(args, "extend", False):
         overrides["extend_keywords"] = True
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _resolve_keywords(cfg: Config) -> KeywordSet | None:
@@ -187,38 +183,34 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _derive_summary(
-    project_id: str, records: list[ChangeRecord], releases: list[Release]
+def _project_summary(
+    project_id: str, project_dir: Path, records: list[ChangeRecord], releases: list[Release]
 ) -> SummaryRow:
-    """Fallback totals recomputed from cache contents when the mining-time
-    summary.json is absent (e.g. synthetic caches). Commits that touched no
-    files are invisible here, so mining-time numbers are preferred."""
-    commits = {r.commit_id for r in records}
-    fix_commits = {r.commit_id for r in records if r.is_bug_fix}
-    if records:
-        first = min(r.commit_time for r in records)
-        last = max(r.commit_time for r in records)
-        years = (last - first) / _SECONDS_PER_YEAR
+    """Per-project totals from the mining-time summary.json; when it is
+    absent (e.g. synthetic caches), from ingest.summarize over counts
+    recomputed from the cached records, in which commits that touched no
+    files are invisible."""
+    summary_json = project_dir / "summary.json"
+    if summary_json.exists():
+        with open(summary_json, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
     else:
-        years = 0.0
-    return SummaryRow(
-        project_id=project_id,
-        commits=len(commits),
-        bug_fix_fraction=len(fix_commits) / len(commits) if commits else 0.0,
-        releases=len(releases),
-        developers=len({r.author for r in records}),
-        active_years=years,
-    )
-
-
-def _summary_from_json(project_id: str, path: Path, releases: int) -> SummaryRow:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        times = [r.commit_time for r in records]
+        tally = MiningResult(
+            records=records,
+            commits_seen=len({r.commit_id for r in records}),
+            bug_fix_commits=len({r.commit_id for r in records if r.is_bug_fix}),
+            developers=len({r.author for r in records}),
+            first_commit_time=min(times, default=None),
+            last_commit_time=max(times, default=None),
+            skipped_lines=0,
+        )
+        payload = dataclasses.asdict(summarize(tally, releases))
     return SummaryRow(
         project_id=project_id,
         commits=int(payload["commits"]),
         bug_fix_fraction=float(payload["bug_fix_fraction"]),
-        releases=int(payload.get("releases", releases)),
+        releases=int(payload.get("releases", len(releases))),
         developers=int(payload["developers"]),
         active_years=float(payload["active_years"]),
     )
@@ -270,13 +262,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
             assessment.populations[belief] for belief in sorted(assessment.populations)
         )
         all_window_rows.extend(assessment.window_rows)
-        summary_json = project_dir / "summary.json"
-        if summary_json.exists():
-            summary_rows.append(
-                _summary_from_json(project_id, summary_json, len(releases))
-            )
-        else:
-            summary_rows.append(_derive_summary(project_id, records, releases))
+        summary_rows.append(_project_summary(project_id, project_dir, records, releases))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_populations_csv(all_populations, out_dir / "populations.csv")

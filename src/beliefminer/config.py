@@ -1,36 +1,78 @@
-"""Run configuration: every threshold in one place, plus the flat
-key = value config file that overrides the defaults."""
+"""Run configuration: every threshold and default in one place, the flat
+key = value reader behind the config and scenario files, and the config
+file that overrides the defaults.
+
+This module imports nothing from the package, so every other module can
+take its defaults from here.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .ingest import DEFAULT_EXTENSIONS
+# Extensions counted as source code; everything else is ignored by the
+# windowing stage.
+DEFAULT_EXTENSIONS: frozenset[str] = frozenset(
+    {
+        "java",
+        "c",
+        "cpp",
+        "cc",
+        "h",
+        "hpp",
+        "py",
+        "js",
+        "ts",
+        "go",
+        "rb",
+        "cs",
+        "scala",
+        "kt",
+        "rs",
+        "php",
+        "swift",
+        "m",
+        "groovy",
+        "pl",
+        "sh",
+    }
+)
+
+# post_days and period_days are days; commit and release times are unix
+# seconds.
+SECONDS_PER_DAY = 86400
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A config file or value is invalid; message names the offending key."""
 
 
 @dataclass(frozen=True)
 class Config:
+    """Every tunable of a run; validated on construction, so
+    dataclasses.replace re-validates too."""
+
     extensions: tuple[str, ...] = tuple(sorted(DEFAULT_EXTENSIONS))
     keyword_file: str | None = None
     extend_keywords: bool = False
     post_days: int = 182
     period_days: int = 14
-    decay_rate: float = math.log(2)
+    decay_rate: float = math.log(2)  # B1 weight halves per period
     min_files: int = 3
     min_observations: int = 4
     alpha: float = 0.01
     support_threshold: float = 0.40
     trend_threshold: float = 0.40
     bootstrap_iterations: int = 512
-    a12_threshold: float = 0.56
+    a12_threshold: float = 0.56  # Vargha-Delaney "small" boundary
     seed: int = 0
     replication_mode: bool = False
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if not self.extensions:
@@ -57,41 +99,81 @@ class Config:
             raise ConfigError("a12_threshold: must lie in (0, 1]")
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+# The one default instance; every keyword default that mirrors a Config
+# field reads it from here.
+DEFAULTS = Config()
+
+
+def read_key_values(
+    path: str | Path,
+    parsers: Mapping[str, Callable[[str], object]],
+    error: type[Exception] = ConfigError,
+) -> dict[str, object]:
+    """Read a flat key = value file into {key: parsers[key](raw value)}.
+
+    Blank lines and '#' comments (whole-line or trailing) are skipped. An
+    unreadable file, a line without '=', an unknown key, or a value its
+    parser rejects with ValueError raises `error`, with path:line for
+    problems inside the file.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    values: dict[str, object] = {}
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, separator, raw = line.partition("=")
+        key = key.strip()
+        if not separator:
+            raise error(f"{path}:{line_no}: expected 'key = value'")
+        parse = parsers.get(key)
+        if parse is None:
+            raise error(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = parse(raw.strip())
+        except ValueError as exc:
+            raise error(f"{path}:{line_no}: {key}: {exc}") from exc
+    return values
+
+
+def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_int(key: str, raw: str) -> int:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(raw: str) -> float:
     try:
         return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _parse_extensions(key: str, raw: str) -> tuple[str, ...]:
+def _parse_extensions(raw: str) -> tuple[str, ...]:
     parts = tuple(
         p.strip().lower().lstrip(".") for p in raw.split(",") if p.strip()
     )
     if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated extension list")
+        raise ValueError("expected a comma-separated extension list")
     return parts
 
 
 _PARSERS = {
     "extensions": _parse_extensions,
-    "keyword_file": lambda key, raw: raw,
+    "keyword_file": str,
     "extend_keywords": _parse_bool,
     "post_days": _parse_int,
     "period_days": _parse_int,
@@ -110,31 +192,8 @@ _PARSERS = {
 assert set(_PARSERS) == {f.name for f in fields(Config)}
 
 
-def load_config(path: str | Path, base: Config | None = None) -> Config:
-    """Parse a flat key = value file over the defaults (or a given base).
-
-    Blank lines and '#' comments are skipped; unknown keys and malformed
-    values raise ConfigError naming the key; the result is validated.
-    """
-    cfg = base if base is not None else Config()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    overrides: dict[str, object] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        parser = _PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-        overrides[key] = parser(key, raw_value)
-    cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+def load_config(path: str | Path, base: Config = DEFAULTS) -> Config:
+    """Parse a flat key = value config file over the defaults (or a given
+    base); unknown keys and malformed or out-of-range values raise
+    ConfigError naming the key."""
+    return replace(base, **read_key_values(path, _PARSERS))

@@ -18,37 +18,10 @@ from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
+from .config import DEFAULT_EXTENSIONS, SECONDS_PER_DAY
 from .labeling import KeywordSet, classify_message
 
 logger = logging.getLogger(__name__)
-
-# Extensions counted as source code; everything else is ignored by the
-# windowing stage.
-DEFAULT_EXTENSIONS: frozenset[str] = frozenset(
-    {
-        "java",
-        "c",
-        "cpp",
-        "cc",
-        "h",
-        "hpp",
-        "py",
-        "js",
-        "ts",
-        "go",
-        "rb",
-        "cs",
-        "scala",
-        "kt",
-        "rs",
-        "php",
-        "swift",
-        "m",
-        "groovy",
-        "pl",
-        "sh",
-    }
-)
 
 SANITY_MIN_COMMITS = 1000
 SANITY_MIN_BUG_FIX_FRACTION = 0.10
@@ -56,7 +29,7 @@ SANITY_MIN_RELEASES = 5
 SANITY_MIN_DEVELOPERS = 30
 SANITY_MIN_ACTIVE_YEARS = 3.0
 
-_SECONDS_PER_YEAR = 365.25 * 86400
+_SECONDS_PER_YEAR = 365.25 * SECONDS_PER_DAY
 
 # Ends in a NUL, so the message may hold any other character.
 _GIT_LOG_FORMAT = "%x01%H%x02%ct%x02%ae%x02%an%x02%B%x00"
@@ -349,16 +322,6 @@ def mine_repository(
         last_commit_time=last_time,
         skipped_lines=skipped,
     )
-
-
-def extract_history(
-    repo_path: str | Path,
-    first_parent: bool = True,
-    follow_renames: bool = False,
-    keywords: KeywordSet | None = None,
-) -> list[ChangeRecord]:
-    """Convenience wrapper over mine_repository returning just the records."""
-    return mine_repository(repo_path, first_parent, follow_renames, keywords).records
 
 
 def extract_releases(repo_path: str | Path) -> list[Release]:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .config import DEFAULTS, SECONDS_PER_DAY, Config
 from .ingest import ChangeRecord
 from .windowing import DefectCounts, ReleaseWindow
 
@@ -26,23 +27,6 @@ BELIEF_IDS: tuple[str, ...] = (
     "B9",
     "B10",
 )
-
-_SECONDS_PER_DAY = 86400
-
-
-@dataclass(frozen=True)
-class HcmConfig:
-    """Parameters of the change-entropy metric (B1)."""
-
-    period_days: int = 14
-    decay_rate: float = math.log(2)  # weight halves per period by default
-
-    def __post_init__(self) -> None:
-        if self.period_days < 1:
-            raise ValueError("period_days must be >= 1")
-        if not self.decay_rate > 0:
-            raise ValueError("decay_rate must be positive")
-
 
 @dataclass
 class BeliefVector:
@@ -86,7 +70,7 @@ def _file_vector(
 
 
 def metric_b1_hcm(
-    window: ReleaseWindow, defects: DefectCounts, cfg: HcmConfig | None = None
+    window: ReleaseWindow, defects: DefectCounts, cfg: Config = DEFAULTS
 ) -> BeliefVector:
     """B1: decayed normalized change entropy accumulated per file.
 
@@ -98,12 +82,10 @@ def metric_b1_hcm(
     accrues w_j * H_j with w_j = exp(-decay_rate * (J - j)), so the newest
     period is undecayed and older periods fade geometrically.
     """
-    if cfg is None:
-        cfg = HcmConfig()
     if not window.pre_records:
         return BeliefVector("B1", [], [], [])
     span = window.pre_end - window.pre_start
-    period_len = cfg.period_days * _SECONDS_PER_DAY
+    period_len = cfg.period_days * SECONDS_PER_DAY
     if span < period_len:
         total_periods = 2
         half = span / 2
@@ -235,11 +217,12 @@ def metric_b10_minor_share(
 def compute_all(
     window: ReleaseWindow,
     defects: DefectCounts,
-    hcm_cfg: HcmConfig | None = None,
+    cfg: Config = DEFAULTS,
 ) -> list[BeliefVector]:
-    """All ten belief vectors for one window, in B1..B10 order."""
+    """All ten belief vectors for one window, in B1..B10 order; B1 reads
+    cfg.period_days and cfg.decay_rate."""
     return [
-        metric_b1_hcm(window, defects, hcm_cfg),
+        metric_b1_hcm(window, defects, cfg),
         metric_b2_developers(window, defects),
         metric_churn(window, defects, "added"),
         metric_recency(window, defects, fixes_only=False),

@@ -8,7 +8,6 @@ distribution quintet. Every printed number also lands in a CSV.
 
 from __future__ import annotations
 
-import csv
 import logging
 import shutil
 from collections import defaultdict
@@ -30,8 +29,9 @@ from .analysis import (
     read_populations_csv,
     read_summary_csv,
     read_windows_csv,
+    write_csv,
 )
-from .config import Config
+from .config import DEFAULTS, Config
 from .metrics import BELIEF_IDS
 from .stats import RankedGroup, quartiles
 
@@ -309,10 +309,8 @@ def distribution_rows(
     return rows
 
 
-def build_report(assess_dir: str | Path, cfg: Config | None = None) -> tuple[Report, Path]:
+def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report, Path]:
     """Assemble a Report from an assessment directory's CSV files."""
-    if cfg is None:
-        cfg = Config()
     assess_path = Path(assess_dir)
     if not assess_path.is_dir():
         raise FileNotFoundError(f"assessment directory not found: {assess_path}")
@@ -403,13 +401,6 @@ def build_report(assess_dir: str | Path, cfg: Config | None = None) -> tuple[Rep
     return report, populations_path
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 def _ranking_csv_rows(groups: list[RankedGroup]) -> list[list]:
     rows = []
     for group in sorted(groups, key=lambda g: g.rank):
@@ -424,7 +415,7 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / "report.md", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_report(report))
-    _write_csv(
+    write_csv(
         out_path / "ranking.csv",
         ("rank", "treatment", "median", "iqr"),
         _ranking_csv_rows(report.ranking),
@@ -439,12 +430,12 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
                 repr(thresholds.q3_df) if thresholds else "",
             ]
         )
-    _write_csv(
+    write_csv(
         out_path / "buckets.csv",
         ("rank", "treatment", "median", "iqr", "median_df", "q3_df"),
         bucket_rows,
     )
-    _write_csv(
+    write_csv(
         out_path / "trends.csv",
         ("belief", "growth_pct", "decay_pct"),
         [
@@ -452,7 +443,7 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
             for belief, growth_pct, decay_pct in report.trend_summary
         ],
     )
-    _write_csv(
+    write_csv(
         out_path / "trend_detail.csv",
         ("project", "belief", "rho_time", "p_time", "trend"),
         [
@@ -466,7 +457,7 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
             for t in report.trends
         ],
     )
-    _write_csv(
+    write_csv(
         out_path / "distribution.csv",
         ("quantity", "q1", "median", "q3"),
         [
@@ -474,7 +465,7 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
             for key, q1, median, q3 in report.distribution_rows
         ],
     )
-    _write_csv(
+    write_csv(
         out_path / "coverage.csv",
         ("project", "covered_beliefs", "prevalence_pct"),
         [
@@ -485,7 +476,7 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     if populations_csv is not None and populations_csv.exists():
         shutil.copyfile(populations_csv, out_path / "populations.csv")
     else:
-        _write_csv(
+        write_csv(
             out_path / "populations.csv",
             ("project", "belief", "release_ordinal", "rho", "p", "n"),
             [],

@@ -21,12 +21,12 @@ from math import fsum
 import numpy as np
 from scipy.special import stdtr
 
+from .config import DEFAULTS
+
 # 8! = 40320 permutations, still enumerable. The smallest exact two-sided p
 # is 2/n!, so at the default alpha = 0.01 a window with n <= 5 can never be
 # significant (2/120 ~ 0.017); the filter stays p < alpha regardless.
 EXACT_P_MAX_N = 8
-DEFAULT_BOOTSTRAP_ITERATIONS = 512
-DEFAULT_A12_THRESHOLD = 0.56  # Vargha-Delaney "small" boundary
 BOOTSTRAP_ALPHA = 0.05
 
 _PERM_EPS = 1e-12  # guard band so float noise cannot drop tied permutations
@@ -204,8 +204,8 @@ def a12(m: list[float], n: list[float]) -> float:
 def bootstrap_different(
     m: list[float],
     n: list[float],
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
-    seed: int = 0,
+    iterations: int = DEFAULTS.bootstrap_iterations,
+    seed: int = DEFAULTS.seed,
 ) -> bool:
     """Bootstrap difference-of-means test at significance 0.05.
 
@@ -245,8 +245,8 @@ def split_is_distinct(
     lower: list[float],
     upper: list[float],
     seed: int,
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
-    a12_threshold: float = DEFAULT_A12_THRESHOLD,
+    iterations: int = DEFAULTS.bootstrap_iterations,
+    a12_threshold: float = DEFAULTS.a12_threshold,
 ) -> bool:
     """Scott-Knott keep-rule: the split stands only if the bootstrap calls
     the sides different AND the upper side wins with at least a small A12
@@ -296,9 +296,9 @@ def _best_split_index(chunk: list[Treatment]) -> int:
 
 def scott_knott(
     treatments: list[Treatment],
-    seed: int = 0,
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
-    a12_threshold: float = DEFAULT_A12_THRESHOLD,
+    seed: int = DEFAULTS.seed,
+    iterations: int = DEFAULTS.bootstrap_iterations,
+    a12_threshold: float = DEFAULTS.a12_threshold,
 ) -> list[RankedGroup]:
     """Rank treatments into statistically distinct groups.
 

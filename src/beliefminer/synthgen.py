@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import DEFAULTS, SECONDS_PER_DAY, read_key_values
 from .ingest import ChangeRecord, Release
 from .labeling import DEFAULT_STEMS, classify_message
 from .stats import spearman
@@ -28,7 +29,6 @@ logger = logging.getLogger(__name__)
 
 SUPPORTED_BELIEFS: tuple[str, ...] = ("B2", "B3", "B8", "B9")
 
-_SECONDS_PER_DAY = 86400
 _BASE_TIME = 1_500_000_000
 _MIN_SPACING = 600
 _AUTHOR_POOL = tuple(f"dev{i:02d}@example.com" for i in range(12))
@@ -61,7 +61,7 @@ class ScenarioSpec:
     planted_strength: float = 0.7
     noise_seed: int = 1
     bug_fix_rate: float = 0.15
-    post_days: int = 182
+    post_days: int = DEFAULTS.post_days
 
     def validate(self) -> None:
         if self.releases < 2:
@@ -89,54 +89,35 @@ class ScenarioSpec:
 def _spacing(spec: ScenarioSpec) -> int:
     """Seconds between releases, chosen so the whole release train ends
     well before the earliest window's post horizon does."""
-    horizon = spec.post_days * _SECONDS_PER_DAY
-    return min(_SECONDS_PER_DAY, horizon // (2 * max(1, spec.releases - 2)))
+    horizon = spec.post_days * SECONDS_PER_DAY
+    return min(SECONDS_PER_DAY, horizon // (2 * max(1, spec.releases - 2)))
+
+
+def _parse_file_range(raw: str) -> tuple[int, int]:
+    parts = [int(p) for p in raw.split(",")]
+    if len(parts) == 1:
+        return parts[0], parts[0]
+    if len(parts) == 2:
+        return parts[0], parts[1]
+    raise ValueError("expected 'n' or 'min,max'")
+
+
+_SCENARIO_PARSERS = {
+    "releases": int,
+    "files_per_release": _parse_file_range,
+    "planted_belief": lambda raw: None if raw.lower() == "none" else raw,
+    "planted_strength": float,
+    "noise_seed": int,
+    "bug_fix_rate": float,
+    "post_days": int,
+}
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioSpec:
     """Parse a flat key = value scenario file into a validated spec."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    values: dict[str, object] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"{path}:{line_no}: expected 'key = value'")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        try:
-            if key == "releases":
-                values["releases"] = int(raw)
-            elif key == "files_per_release":
-                parts = [p.strip() for p in raw.split(",")]
-                if len(parts) == 1:
-                    values["files_min"] = values["files_max"] = int(parts[0])
-                elif len(parts) == 2:
-                    values["files_min"] = int(parts[0])
-                    values["files_max"] = int(parts[1])
-                else:
-                    raise ValueError("expected 'n' or 'min,max'")
-            elif key == "planted_belief":
-                values["planted_belief"] = None if raw.lower() == "none" else raw
-            elif key == "planted_strength":
-                values["planted_strength"] = float(raw)
-            elif key == "noise_seed":
-                values["noise_seed"] = int(raw)
-            elif key == "bug_fix_rate":
-                values["bug_fix_rate"] = float(raw)
-            elif key == "post_days":
-                values["post_days"] = int(raw)
-            else:
-                raise ScenarioError(f"{path}:{line_no}: unknown key {key!r}")
-        except ScenarioError:
-            raise
-        except ValueError as exc:
-            raise ScenarioError(f"{key}: bad value {raw!r} ({exc})") from exc
+    values = read_key_values(path, _SCENARIO_PARSERS, ScenarioError)
+    if "files_per_release" in values:
+        values["files_min"], values["files_max"] = values.pop("files_per_release")
     spec = ScenarioSpec(**values)  # type: ignore[arg-type]
     spec.validate()
     return spec
@@ -235,7 +216,7 @@ def generate(spec: ScenarioSpec) -> tuple[list[ChangeRecord], list[Release]]:
     spec.validate()
     mix = calibrate_mix(spec)
     rng = np.random.default_rng(spec.noise_seed)
-    horizon = spec.post_days * _SECONDS_PER_DAY
+    horizon = spec.post_days * SECONDS_PER_DAY
     spacing = _spacing(spec)
     release_times = [
         _BASE_TIME + (r - 1) * spacing for r in range(1, spec.releases + 1)

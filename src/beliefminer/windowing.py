@@ -12,14 +12,10 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .ingest import DEFAULT_EXTENSIONS, ChangeRecord, Release, is_source_file
+from .config import DEFAULT_EXTENSIONS, DEFAULTS, SECONDS_PER_DAY
+from .ingest import ChangeRecord, Release, is_source_file
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_POST_DAYS = 182
-DEFAULT_MIN_FILES = 3
-
-_SECONDS_PER_DAY = 86400
 
 
 @dataclass
@@ -49,7 +45,7 @@ class DefectCounts:
 def build_windows(
     releases: list[Release],
     records: list[ChangeRecord],
-    post_days: int = DEFAULT_POST_DAYS,
+    post_days: int = DEFAULTS.post_days,
     extensions: frozenset[str] = DEFAULT_EXTENSIONS,
 ) -> list[ReleaseWindow]:
     """Build one window per release after the first.
@@ -81,7 +77,7 @@ def build_windows(
             continue
         pre_start = previous.release_time
         pre_end = current.release_time
-        post_end = pre_end + post_days * _SECONDS_PER_DAY
+        post_end = pre_end + post_days * SECONDS_PER_DAY
         lo = bisect_right(times, pre_start)
         hi = bisect_right(times, pre_end)
         pre = source[lo:hi]
@@ -122,7 +118,7 @@ def count_post_defects(
     return DefectCounts(per_file=counts)
 
 
-def qualify_window(window: ReleaseWindow, min_files: int = DEFAULT_MIN_FILES) -> bool:
+def qualify_window(window: ReleaseWindow, min_files: int = DEFAULTS.min_files) -> bool:
     """A window qualifies for assessment when enough distinct source files
     changed before the release."""
     return window.distinct_files >= min_files

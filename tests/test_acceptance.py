@@ -26,7 +26,8 @@ from beliefminer.analysis import (
 )
 from beliefminer.cli import main
 from beliefminer.ingest import ChangeRecord, Release, read_history, read_releases
-from beliefminer.metrics import HcmConfig, compute_all, metric_b1_hcm, metric_churn
+from beliefminer.config import Config
+from beliefminer.metrics import compute_all, metric_b1_hcm, metric_churn
 from beliefminer.stats import Treatment, _t_approximation_p, a12, scott_knott, spearman
 from beliefminer.synthgen import ScenarioSpec, generate
 from beliefminer.windowing import (
@@ -272,7 +273,7 @@ def test_08_entropy_analytic_cases():
     )
 
     def values(window):
-        vector = metric_b1_hcm(window, DefectCounts(per_file={}), HcmConfig())
+        vector = metric_b1_hcm(window, DefectCounts(per_file={}), Config())
         return vector.x
 
     gaps = [abs(values(solo)[0] - 0.0)]

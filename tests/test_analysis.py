@@ -35,7 +35,7 @@ from beliefminer.analysis import (
     write_summary_csv,
     write_windows_csv,
 )
-from beliefminer.ingest import Release, extract_history, extract_releases
+from beliefminer.ingest import Release, extract_releases, mine_repository
 from beliefminer.metrics import BeliefVector
 from beliefminer.stats import SupportScore
 from beliefminer.windowing import ReleaseWindow
@@ -116,7 +116,7 @@ def test_population_rejects_bad_min_n():
 
 
 def test_assess_project_matches_fixture_goldens(fixture_repo, data_dir):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     releases = extract_releases(fixture_repo)
     assessment = assess_project("fixture", records, releases)
     assert assessment.releases_total == 5

@@ -1,6 +1,7 @@
 """Tests for configuration defaults, validation, and file parsing."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -119,3 +120,25 @@ def test_load_config_validates_result(tmp_path):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.cfg")
+
+
+def test_replace_revalidates():
+    with pytest.raises(ConfigError) as excinfo:
+        replace(Config(), alpha=2.0)
+    assert "alpha" in str(excinfo.value)
+    assert isinstance(excinfo.value, ValueError)
+
+
+def test_load_config_bad_value_names_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("alpha = 0.05\n\nmin_files = few\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert f"{path}:3: min_files" in str(excinfo.value)
+
+
+def test_load_config_undecodable_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"alpha = 0.05 \xff\n")
+    with pytest.raises(ConfigError):
+        load_config(path)

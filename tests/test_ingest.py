@@ -13,7 +13,6 @@ from beliefminer.ingest import (
     Release,
     RepositoryError,
     apply_sanity_checks,
-    extract_history,
     extract_releases,
     is_source_file,
     mine_repository,
@@ -54,7 +53,7 @@ def test_mine_first_parent_counts(fixture_repo):
 
 
 def test_first_parent_skips_merge_and_side_branch(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     paths = {r.file_path for r in records}
     authors = {r.author for r in records}
     assert "feature/extra.py" not in paths
@@ -76,7 +75,7 @@ def test_all_commits_walks_side_branch(fixture_repo):
 
 
 def test_binary_file_counts_zero_churn(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     binary = [r for r in records if r.file_path == "assets/logo.bin"]
     assert len(binary) == 1
     assert binary[0].insertions == 0
@@ -85,7 +84,7 @@ def test_binary_file_counts_zero_churn(fixture_repo):
 
 
 def test_record_fields_for_known_commit(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     day12 = [r for r in records if r.commit_time == T0 + 12 * DAY]
     assert len(day12) == 1
     rec = day12[0]
@@ -158,7 +157,7 @@ def test_sanity_checks_pass_on_large_project():
 
 
 def test_history_cache_round_trip(tmp_path, fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     path = tmp_path / "history.jsonl"
     write_history(records, path)
     assert read_history(path) == records
@@ -172,7 +171,7 @@ def test_releases_cache_round_trip(tmp_path, fixture_repo):
 
 
 def test_goldens_match_fresh_extraction(fixture_repo, data_dir):
-    assert extract_history(fixture_repo) == read_history(
+    assert mine_repository(fixture_repo).records == read_history(
         data_dir / "fixture_history.jsonl"
     )
     assert extract_releases(fixture_repo) == read_releases(

@@ -10,11 +10,11 @@ import math
 
 import pytest
 
-from beliefminer.ingest import ChangeRecord, Release, extract_history, extract_releases
+from beliefminer.config import Config
+from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
 from beliefminer.metrics import (
     BELIEF_IDS,
     BeliefVector,
-    HcmConfig,
     compute_all,
     metric_b1_hcm,
     metric_b2_developers,
@@ -35,7 +35,7 @@ def _half_life(periods_back: int) -> float:
 
 @pytest.fixture(scope="module")
 def v1_window(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     windows = build_windows(extract_releases(fixture_repo), records)
     window = windows[-1]
     assert window.release.tag_name == "v1.0"
@@ -289,18 +289,18 @@ def test_b1_custom_config():
         _rec("c2", period + 10, "b.py"),
     ]
     window, defects = _window(records, 0, 2 * period)
-    cfg = HcmConfig(period_days=7, decay_rate=1.0)
+    cfg = Config(period_days=7, decay_rate=1.0)
     vec = metric_b1_hcm(window, defects, cfg)
     assert vec.x == pytest.approx([math.exp(-1.0) + 1.0] * 2)
 
 
 def test_hcm_config_validation():
     with pytest.raises(ValueError):
-        HcmConfig(period_days=0)
+        Config(period_days=0)
     with pytest.raises(ValueError):
-        HcmConfig(decay_rate=0.0)
+        Config(decay_rate=0.0)
     with pytest.raises(ValueError):
-        HcmConfig(decay_rate=-1.0)
+        Config(decay_rate=-1.0)
 
 
 def test_b2_counts_distinct_authors():

@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from beliefminer.ingest import ChangeRecord, Release, extract_history, extract_releases
+from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
 from beliefminer.windowing import (
     DefectCounts,
     build_windows,
@@ -20,7 +20,7 @@ def _rec(commit, time, path, fix=False, ins=1, dels=0, author="a@b"):
 
 
 def test_fixture_windows(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     releases = extract_releases(fixture_repo)
     windows = build_windows(releases, records)
     assert [w.release.tag_name for w in windows] == ["v0.2", "v0.3", "v0.4", "v1.0"]
@@ -35,7 +35,7 @@ def test_fixture_windows(fixture_repo):
 
 
 def test_fixture_defect_counts(fixture_repo):
-    records = extract_history(fixture_repo)
+    records = mine_repository(fixture_repo).records
     windows = build_windows(extract_releases(fixture_repo), records)
     counts = count_post_defects(windows[-1], records)
     assert counts.per_file == {
