@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .config import DEFAULTS, Config
@@ -172,6 +174,10 @@ def assess_project(
     windows = build_windows(
         releases, records, post_days=cfg.post_days, extensions=frozenset(cfg.extensions)
     )
+    # Each window's defect count reads only the bug fixes in its post
+    # horizon (pre_end, post_end], found by bisection on the sorted times.
+    fixes = sorted((r for r in records if r.is_bug_fix), key=attrgetter("commit_time"))
+    fix_times = [r.commit_time for r in fixes]
     window_rows: list[WindowRow] = []
     per_belief: dict[str, list[tuple[ReleaseWindow, BeliefVector]]] = {
         belief: [] for belief in BELIEF_IDS
@@ -190,7 +196,10 @@ def assess_project(
         )
         if not qualified:
             continue
-        defects = count_post_defects(window, records)
+        horizon = fixes[
+            bisect_right(fix_times, window.pre_end) : bisect_right(fix_times, window.post_end)
+        ]
+        defects = count_post_defects(window, horizon)
         for vector in compute_all(window, defects, cfg):
             per_belief[vector.belief_id].append((window, vector))
     populations = {

@@ -9,6 +9,7 @@ take its defaults from here.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -104,6 +105,10 @@ class Config:
 DEFAULTS = Config()
 
 
+# A '#' at the start of a line or after whitespace opens a comment.
+_COMMENT = re.compile(r"(?:^|(?<=\s))#")
+
+
 def read_key_values(
     path: str | Path,
     parsers: Mapping[str, Callable[[str], object]],
@@ -111,10 +116,11 @@ def read_key_values(
 ) -> dict[str, object]:
     """Read a flat key = value file into {key: parsers[key](raw value)}.
 
-    Blank lines and '#' comments (whole-line or trailing) are skipped. An
-    unreadable file, a line without '=', an unknown key, or a value its
-    parser rejects with ValueError raises `error`, with path:line for
-    problems inside the file.
+    Blank lines and comments are skipped. A comment starts at a '#' that
+    opens the line or follows whitespace, so a '#' inside a value, as in
+    a path like dir/c#sharp/stems.txt, is kept. An unreadable file, a line
+    without '=', an unknown key, or a value its parser rejects with
+    ValueError raises `error`, with path:line for problems inside the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -122,7 +128,7 @@ def read_key_values(
         raise error(f"cannot read {path}: {exc}") from exc
     values: dict[str, object] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw_line, 1)[0].strip()
         if not line:
             continue
         key, separator, raw = line.partition("=")

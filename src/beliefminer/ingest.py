@@ -247,7 +247,7 @@ def mine_repository(
 
     records: list[ChangeRecord] = []
     seen_pairs: set[tuple[str, str]] = set()
-    commits = fixes = skipped = 0
+    commits = fixes = skipped = collided = 0
     authors: set[str] = set()
     first_time: int | None = None
     last_time: int | None = None
@@ -298,6 +298,7 @@ def mine_repository(
             deletions = 0 if raw_del == "-" else int(raw_del)
             key = (commit_id, path)
             if key in seen_pairs:
+                collided += 1
                 continue
             seen_pairs.add(key)
             records.append(
@@ -313,6 +314,14 @@ def mine_repository(
             )
     if skipped:
         logger.warning("skipped %d unparsable log entries in %s", skipped, repo_path)
+    if collided:
+        logger.warning(
+            "dropped %d file touches in %s that repeat a (commit, path) pair: "
+            "file names that are not valid UTF-8 decode to the same name when "
+            "they differ only in their invalid bytes",
+            collided,
+            repo_path,
+        )
     return MiningResult(
         records=records,
         commits_seen=commits,
@@ -404,16 +413,22 @@ def apply_sanity_checks(summary: ProjectSummary) -> list[str]:
     return violations
 
 
-_HISTORY_FIELDS = (
-    "commit_id",
-    "commit_time",
-    "author",
-    "file_path",
-    "insertions",
-    "deletions",
-    "is_bug_fix",
+_HISTORY_KEYS = frozenset(
+    {
+        "commit_id",
+        "commit_time",
+        "author",
+        "file_path",
+        "insertions",
+        "deletions",
+        "is_bug_fix",
+    }
 )
-_RELEASE_FIELDS = ("tag_name", "release_time", "ordinal")
+_RELEASE_KEYS = frozenset({"tag_name", "release_time", "ordinal"})
+
+# The C scanner behind json.loads: scan_once(line, 0) -> (value, end index),
+# StopIteration when no value starts at index 0.
+_scan_json = json.JSONDecoder().scan_once
 
 
 # json.dumps(..., ensure_ascii=False) builds a fresh encoder per call.
@@ -440,33 +455,66 @@ def write_history(records: list[ChangeRecord], path: str | Path) -> None:
             fh.write("\n")
 
 
-def read_history(path: str | Path) -> list[ChangeRecord]:
-    records: list[ChangeRecord] = []
+def _decode_lines(
+    path: str | Path, keys: frozenset[str], kind: str
+) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line of a JSON-lines
+    cache whose keys are exactly `keys`.
+
+    A line that is one JSON object and a newline, as the writers produce,
+    is parsed by the C scanner alone. Any other line goes to json.loads,
+    which accepts what it accepts and otherwise raises the canonical error.
+    The first bad line raises CacheError, its JSON error before its keys.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or set(obj) != set(_HISTORY_FIELDS):
-                raise CacheError(path, line_no, "unexpected history record fields")
-            try:
-                record = ChangeRecord(
-                    commit_id=str(obj["commit_id"]),
-                    commit_time=int(obj["commit_time"]),
-                    author=str(obj["author"]),
-                    file_path=str(obj["file_path"]),
-                    insertions=int(obj["insertions"]),
-                    deletions=int(obj["deletions"]),
-                    is_bug_fix=bool(obj["is_bug_fix"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            if record.insertions < 0 or record.deletions < 0:
-                raise CacheError(path, line_no, "negative churn")
-            records.append(record)
+                obj, end = _scan_json(line, 0)
+                whole = end == len(line) or line[end:] == "\n"
+            except (StopIteration, json.JSONDecodeError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict) or obj.keys() != keys:
+                raise CacheError(path, line_no, f"unexpected {kind} record fields")
+            yield line_no, obj
+
+
+def read_history(path: str | Path) -> list[ChangeRecord]:
+    """Read a history cache; equal commit ids, authors and paths share one
+    string object."""
+    records: list[ChangeRecord] = []
+    strings: dict[str, str] = {}
+    share = strings.setdefault
+    for line_no, obj in _decode_lines(path, _HISTORY_KEYS, "history"):
+        try:
+            commit_id = str(obj["commit_id"])
+            commit_time = int(obj["commit_time"])
+            author = str(obj["author"])
+            file_path = str(obj["file_path"])
+            insertions = int(obj["insertions"])
+            deletions = int(obj["deletions"])
+            is_bug_fix = bool(obj["is_bug_fix"])
+        except (TypeError, ValueError) as exc:
+            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        if insertions < 0 or deletions < 0:
+            raise CacheError(path, line_no, "negative churn")
+        records.append(
+            ChangeRecord(
+                share(commit_id, commit_id),
+                commit_time,
+                share(author, author),
+                share(file_path, file_path),
+                insertions,
+                deletions,
+                is_bug_fix,
+            )
+        )
     return records
 
 
@@ -487,25 +535,16 @@ def write_releases(releases: list[Release], path: str | Path) -> None:
 
 def read_releases(path: str | Path) -> list[Release]:
     releases: list[Release] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or set(obj) != set(_RELEASE_FIELDS):
-                raise CacheError(path, line_no, "unexpected release record fields")
-            try:
-                release = Release(
-                    tag_name=str(obj["tag_name"]),
-                    release_time=int(obj["release_time"]),
-                    ordinal=int(obj["ordinal"]),
-                )
-            except (TypeError, ValueError) as exc:
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            releases.append(release)
+    for line_no, obj in _decode_lines(path, _RELEASE_KEYS, "release"):
+        try:
+            release = Release(
+                tag_name=str(obj["tag_name"]),
+                release_time=int(obj["release_time"]),
+                ordinal=int(obj["ordinal"]),
+            )
+        except (TypeError, ValueError) as exc:
+            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        releases.append(release)
     expected = list(range(1, len(releases) + 1))
     if [r.ordinal for r in releases] != expected:
         raise CacheError(path, len(releases), "release ordinals are not 1..N in order")

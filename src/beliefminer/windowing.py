@@ -61,7 +61,10 @@ def build_windows(
     if len(releases) < 2:
         return []
     ordered = sorted(releases, key=lambda r: r.ordinal)
-    source = [r for r in records if is_source_file(r.file_path, extensions)]
+    # The filter depends on the path alone, so it runs once per distinct path.
+    paths = {r.file_path for r in records}
+    source_paths = {path for path in paths if is_source_file(path, extensions)}
+    source = [r for r in records if r.file_path in source_paths]
     source.sort(key=lambda r: (r.commit_time, r.commit_id, r.file_path))
     times = [r.commit_time for r in source]
     last_time = max((r.commit_time for r in records), default=None)

@@ -241,6 +241,17 @@ def build_odd_paths_repo(repo: Path) -> None:
     _commit_files(repo, 1, "fix quoting bug", {first: contents[first] + "one more\n"})
 
 
+# Two file names that differ only in a byte that is not UTF-8 (0xE9 and
+# 0xE8 after "caf"); both decode to "caf\ufffd.py". On a POSIX file system
+# the surrogate escapes below become those raw bytes.
+UNDECODABLE_PATHS = ("caf\udce9.py", "caf\udce8.py")
+
+
+def build_undecodable_paths_repo(repo: Path) -> None:
+    _init(repo)
+    _commit_files(repo, 0, "add two cafes", {p: f"{p!r}\n" for p in UNDECODABLE_PATHS})
+
+
 # A module moved to another directory with two lines appended, and a file
 # renamed in place without edits.
 RENAME_LINES = 10

@@ -7,12 +7,15 @@ a double loop for A12, and a naive recompute-everything recursion for the
 exhaustive Scott-Knott grouping. exact_permutation_p_loop is the library's
 former one-permutation-at-a-time enumeration, kept as the bit-exact
 reference for its vectorised replacement; classify_message_loop is the
-former stem-by-stem keyword matcher, kept the same way.
+former stem-by-stem keyword matcher, kept the same way; read_history_loop
+is the former one-json.loads-per-line cache reader, the reference for the
+scanner-based one.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
 import statistics
@@ -20,6 +23,7 @@ from math import fsum
 
 import numpy as np
 
+from beliefminer.ingest import CacheError, ChangeRecord
 from beliefminer.labeling import KeywordSet
 from beliefminer.stats import Treatment, split_is_distinct
 
@@ -168,3 +172,46 @@ def scott_knott_brute(
 
     recurse(ordered)
     return groups
+
+
+_HISTORY_FIELDS = {
+    "commit_id",
+    "commit_time",
+    "author",
+    "file_path",
+    "insertions",
+    "deletions",
+    "is_bug_fix",
+}
+
+
+def read_history_loop(path):
+    """History cache reader: json.loads per non-blank line, then the key set
+    check, the field conversions and the churn check, in that order."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
+                raise CacheError(path, line_no, "unexpected history record fields")
+            try:
+                record = ChangeRecord(
+                    commit_id=str(obj["commit_id"]),
+                    commit_time=int(obj["commit_time"]),
+                    author=str(obj["author"]),
+                    file_path=str(obj["file_path"]),
+                    insertions=int(obj["insertions"]),
+                    deletions=int(obj["deletions"]),
+                    is_bug_fix=bool(obj["is_bug_fix"]),
+                )
+            except (TypeError, ValueError) as exc:
+                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+            if record.insertions < 0 or record.deletions < 0:
+                raise CacheError(path, line_no, "negative churn")
+            records.append(record)
+    return records

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import random
 
 import pytest
 
@@ -35,7 +36,9 @@ from beliefminer.analysis import (
     write_summary_csv,
     write_windows_csv,
 )
-from beliefminer.ingest import Release, extract_releases, mine_repository
+from beliefminer import analysis, windowing
+from beliefminer.config import SECONDS_PER_DAY, Config
+from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
 from beliefminer.metrics import BeliefVector
 from beliefminer.stats import SupportScore
 from beliefminer.windowing import ReleaseWindow
@@ -135,6 +138,74 @@ def test_assess_project_matches_fixture_goldens(fixture_repo, data_dir):
             EXCLUDE_TOO_FEW: 0,
             EXCLUDE_NOT_SIGNIFICANT: 1,
         }
+
+
+def _tied_history(seed):
+    """Shuffled records around ten releases whose post horizons overlap.
+
+    Many commit times sit exactly on a window's pre_end or post_end; some
+    fixes touch non-source paths, and src/late.py is only ever changed
+    after the last release, so it is in no pre period.
+    """
+    rng = random.Random(seed)
+    post_days = 3
+    releases, time = [], 1_000_000
+    for ordinal in range(1, 11):
+        time += 2 * SECONDS_PER_DAY + rng.randrange(-3, 4) * 3600
+        releases.append(Release(f"v{ordinal}", time, ordinal))
+    edges = [
+        edge + shift
+        for r in releases
+        for edge in (r.release_time, r.release_time + post_days * SECONDS_PER_DAY)
+        for shift in (-1, 0, 0, 0, 1)
+    ]
+    first, last = releases[0].release_time, releases[-1].release_time
+    paths = [f"src/m{i}.py" for i in range(6)] + ["docs/notes.md", "tests/m0_test.py"]
+    records = []
+    for i in range(600):
+        if rng.random() < 0.6:
+            when = rng.choice(edges)
+        else:
+            when = rng.randint(first - 1, last + 9 * SECONDS_PER_DAY)
+        author, path = f"dev{rng.randrange(5)}", rng.choice(paths)
+        churn = (rng.randrange(9), rng.randrange(4))
+        records.append(ChangeRecord(f"c{i}", when, author, path, *churn, rng.random() < 0.5))
+    records += [
+        ChangeRecord(f"late{i}", last + i * 3600, "dev0", "src/late.py", 1, 0, True)
+        for i in range(1, 30)
+    ]
+    rng.shuffle(records)
+    return records, releases, Config(post_days=post_days, min_files=1, min_observations=2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_assess_project_counts_defects_from_each_horizon_only(monkeypatch, seed):
+    records, releases, cfg = _tied_history(seed)
+    calls = []
+
+    def horizon_only(window, horizon):
+        assert all(
+            r.is_bug_fix and window.pre_end < r.commit_time <= window.post_end
+            for r in horizon
+        )
+        defects = windowing.count_post_defects(window, horizon)
+        assert defects == windowing.count_post_defects(window, records)
+        calls.append(window)
+        return defects
+
+    monkeypatch.setattr(analysis, "count_post_defects", horizon_only)
+    sliced = assess_project("p", records, releases, cfg)
+    assert len(calls) == sum(row.qualified for row in sliced.window_rows) == 9
+    assert any(r.commit_time == w.pre_end and r.is_bug_fix for w in calls for r in records)
+    assert any(r.commit_time == w.post_end and r.is_bug_fix for w in calls for r in records)
+
+    # The same assessment as when every window is counted over all records.
+    monkeypatch.setattr(
+        analysis,
+        "count_post_defects",
+        lambda window, _: windowing.count_post_defects(window, records),
+    )
+    assert assess_project("p", records, releases, cfg) == sliced
 
 
 # --- labels, coverage, prevalence ----------------------------------------------

@@ -142,3 +142,26 @@ def test_load_config_undecodable_file(tmp_path):
     path.write_bytes(b"alpha = 0.05 \xff\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_config_hash_inside_value_is_kept(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "keyword_file = /tmp/c#sharp/stems.txt\n"
+        "alpha = 0.05 # a trailing comment after a space\n"
+        "seed = 3\t# after a tab\n"
+        "   # an indented comment line\n",
+        encoding="utf-8",
+    )
+    cfg = load_config(path)
+    assert cfg.keyword_file == "/tmp/c#sharp/stems.txt"
+    assert cfg.alpha == 0.05
+    assert cfg.seed == 3
+
+
+def test_load_config_hash_after_value_without_space_is_part_of_it(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3#note\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert "3#note" in str(excinfo.value)

@@ -1,6 +1,7 @@
 """Tests for git history mining, release extraction, and cache files."""
 
 import json
+import logging
 import signal
 import subprocess
 
@@ -37,8 +38,10 @@ from fixture_repo import (
     build_odd_paths_repo,
     build_rename_repo,
     build_two_commit_repo,
+    build_undecodable_paths_repo,
     delete_loose_object,
 )
+from oracles import read_history_loop
 
 
 def test_mine_first_parent_counts(fixture_repo):
@@ -405,3 +408,146 @@ def test_mine_message_is_one_commit(tmp_path, message):
         ("first.py", True),
         ("second.py", False),
     }
+
+
+def test_undecodable_path_collision_is_counted(tmp_path, caplog):
+    repo = tmp_path / "repo"
+    build_undecodable_paths_repo(repo)
+    with caplog.at_level(logging.WARNING, logger="beliefminer.ingest"):
+        result = mine_repository(repo)
+    assert [r.file_path for r in result.records] == ["caf\ufffd.py"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "dropped 1 file touches" in warnings[0]
+    assert "not valid UTF-8" in warnings[0]
+
+
+_ABSENT = object()
+
+
+def _row(**changes):
+    row = {
+        "commit_id": "c" * 40,
+        "commit_time": 100,
+        "author": "a@b",
+        "file_path": "src/x.py",
+        "insertions": 1,
+        "deletions": 2,
+        "is_bug_fix": True,
+    }
+    row.update(changes)
+    return json.dumps({k: v for k, v in row.items() if v is not _ABSENT})
+
+
+_GOOD = _row()
+_ODD_PATH_ROWS = [
+    _row(file_path=path, commit_id=f"{i:040x}", author=author)
+    for i, (path, author) in enumerate(
+        [
+            *((path, "a@b") for path in ODD_PATHS),
+            ("src/日本語/モジュール.py", "名前@example.com"),
+            ("src/line sep\x85next\x1cfs.py", "ü@b"),
+            ("src/emoji\U0001f600.py", "a@b"),
+            ("src/a\\u0000b.py", "a@b"),
+        ]
+    )
+]
+
+
+def _cache_bytes(lines, end="\n"):
+    return end.join(lines).encode("utf-8") + end.encode()
+
+
+# Each case is the bytes of one history cache. The current reader must give
+# exactly what the one-json.loads-per-line reference gives: the same records,
+# or the same error at the same line for the same reason.
+_READER_CASES = {
+    "odd-and-non-ascii-paths": _cache_bytes(_ODD_PATH_ROWS),
+    "odd-paths-unescaped": "\n".join(
+        json.dumps(json.loads(line), ensure_ascii=False) for line in _ODD_PATH_ROWS
+    ).encode("utf-8") + b"\n",
+    "empty-file": b"",
+    "bom": b"\xef\xbb\xbf" + _cache_bytes([_GOOD]),
+    "leading-spaces": _cache_bytes([_GOOD, "   " + _GOOD, "\t" + _GOOD]),
+    "trailing-spaces": _cache_bytes([_GOOD + "  ", _GOOD + "\t"]),
+    "trailing-garbage": _cache_bytes([_GOOD, _GOOD + " x"]),
+    "two-objects-one-line": _cache_bytes([_GOOD, _GOOD + _GOOD]),
+    "two-objects-with-space": _cache_bytes([_GOOD + " " + _GOOD]),
+    "nan-line": _cache_bytes([_GOOD, "NaN"]),
+    "json-array": _cache_bytes([_GOOD, "[1, 2, 3]"]),
+    "json-string": _cache_bytes(['"text"']),
+    "truncated-object": _cache_bytes([_GOOD, _GOOD[:-5]]),
+    "invalid-escape": _cache_bytes([_GOOD.replace("src/x.py", "src/\\qx.py")]),
+    "raw-control-character": _cache_bytes([_GOOD.replace("src/x.py", "src/\tx.py")]),
+    "missing-key": _cache_bytes([_GOOD, _row(author=_ABSENT)]),
+    "extra-key": _cache_bytes([_GOOD, _GOOD[:-1] + ', "extra": 1}']),
+    "duplicate-key": _cache_bytes([_GOOD[:-1] + ', "author": "z@y"}']),
+    "string-count": _cache_bytes([_row(insertions="3")]),
+    "non-numeric-string-count": _cache_bytes([_row(insertions="three")]),
+    "float-time": _cache_bytes([_row(commit_time=1.5)]),
+    "nan-time": _cache_bytes([_row(commit_time=float("nan"))]),
+    "null-fields": _cache_bytes([_row(file_path=None, is_bug_fix=None)]),
+    "list-count": _cache_bytes([_row(deletions=[1])]),
+    "string-flag": _cache_bytes([_row(is_bug_fix="no")]),
+    "negative-insertions": _cache_bytes([_GOOD, _row(insertions=-1)]),
+    "negative-deletions": _cache_bytes([_row(deletions=-2)]),
+    "field-error-before-json-error": _cache_bytes([_row(insertions=-1), "{oops"]),
+    "json-error-before-field-error": _cache_bytes(["{oops", _row(insertions=-1)]),
+    "crlf": _cache_bytes([_GOOD, _row(commit_time=200)], end="\r\n"),
+    "lone-cr": _cache_bytes([_GOOD, _row(commit_time=200)], end="\r"),
+    "no-final-newline": _cache_bytes([_GOOD, _row(commit_time=200)])[:-1],
+    "whitespace-only-lines": _cache_bytes(
+        ["", _GOOD, "   ", "\t", "\x0c", " ", " ", _row(commit_time=200), ""]
+    ),
+    "invalid-utf8": _cache_bytes([_GOOD]) + b'{"commit_id": "\xff"}\n',
+}
+
+
+def _reader_outcome(reader, path):
+    try:
+        return "records", reader(path)
+    except CacheError as exc:
+        return "CacheError", (exc.path, exc.line_no, exc.reason)
+    except Exception as exc:  # the reference's other failures must match too
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_read_history_equals_loop_reference(tmp_path, case):
+    path = tmp_path / "history.jsonl"
+    path.write_bytes(_READER_CASES[case])
+    assert _reader_outcome(read_history, path) == _reader_outcome(read_history_loop, path)
+
+
+def test_read_history_equals_loop_reference_on_fixture_cache(data_dir):
+    path = data_dir / "fixture_history.jsonl"
+    records = read_history(path)
+    assert records == read_history_loop(path)
+    assert len(records) == FIRST_PARENT_RECORDS
+
+
+def test_read_history_shares_equal_strings(data_dir):
+    records = read_history(data_dir / "fixture_history.jsonl")
+    for attr in ("commit_id", "author", "file_path"):
+        first = {}
+        for record in records:
+            value = getattr(record, attr)
+            assert first.setdefault(value, value) is value
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
+        ('{"tag_name": "v1", "release_time": 1}', "unexpected release record fields"),
+        ('{"tag_name": "v1", "release_time": "x", "ordinal": 1}', "bad field value"),
+    ],
+)
+def test_read_releases_reports_first_bad_line(tmp_path, line, reason):
+    path = tmp_path / "releases.jsonl"
+    good = json.dumps({"tag_name": "v1", "release_time": 100, "ordinal": 1})
+    path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(CacheError) as excinfo:
+        read_releases(path)
+    assert excinfo.value.line_no == 3
+    assert excinfo.value.reason.startswith(reason)

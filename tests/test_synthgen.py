@@ -99,6 +99,24 @@ def test_parse_scenario_file(tmp_path):
     )
 
 
+def test_parse_readme_scenario_with_trailing_comments(tmp_path):
+    path = tmp_path / "scenario.txt"
+    path.write_text(
+        "releases = 51\n"
+        "files_per_release = 30, 50\n"
+        "planted_belief = B3      # one of B2, B3, B8, B9, or none\n"
+        "planted_strength = 0.7   # 0 = pure noise, 1 = perfect rank agreement\n"
+        "bug_fix_rate = 0.15\n"
+        "noise_seed = 1\n",
+        encoding="utf-8",
+    )
+    spec = parse_scenario_file(path)
+    assert (spec.releases, spec.files_min, spec.files_max) == (51, 30, 50)
+    assert spec.planted_belief == "B3"
+    assert spec.planted_strength == 0.7
+    assert (spec.bug_fix_rate, spec.noise_seed) == (0.15, 1)
+
+
 def test_parse_scenario_file_single_file_count_and_none(tmp_path):
     path = tmp_path / "scenario.txt"
     path.write_text(
