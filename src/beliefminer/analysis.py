@@ -27,6 +27,7 @@ from .stats import (
     Treatment,
     quartiles,
     scott_knott,
+    shared_y_ranks,
     spearman,
 )
 from .windowing import ReleaseWindow, build_windows, count_post_defects, qualify_window
@@ -174,10 +175,17 @@ def assess_project(
     windows = build_windows(
         releases, records, post_days=cfg.post_days, extensions=frozenset(cfg.extensions)
     )
-    # Each window's defect count reads only the bug fixes in its post
-    # horizon (pre_end, post_end], found by bisection on the sorted times.
-    fixes = sorted((r for r in records if r.is_bug_fix), key=attrgetter("commit_time"))
-    fix_times = [r.commit_time for r in fixes]
+    # Each window's defect count reads only its own files' bug fixes inside
+    # its post horizon (pre_end, post_end], found by bisection on each
+    # file's sorted fix times.
+    fixes_by_file: dict[str, list[ChangeRecord]] = defaultdict(list)
+    for record in records:
+        if record.is_bug_fix:
+            fixes_by_file[record.file_path].append(record)
+    fix_index: dict[str, tuple[list[int], list[ChangeRecord]]] = {}
+    for path, fixes in fixes_by_file.items():
+        fixes.sort(key=attrgetter("commit_time"))
+        fix_index[path] = ([r.commit_time for r in fixes], fixes)
     window_rows: list[WindowRow] = []
     per_belief: dict[str, list[tuple[ReleaseWindow, BeliefVector]]] = {
         belief: [] for belief in BELIEF_IDS
@@ -196,23 +204,29 @@ def assess_project(
         )
         if not qualified:
             continue
-        horizon = fixes[
-            bisect_right(fix_times, window.pre_end) : bisect_right(fix_times, window.post_end)
-        ]
+        horizon: list[ChangeRecord] = []
+        for path in {r.file_path for r in window.pre_records}:
+            entry = fix_index.get(path)
+            if entry is not None:
+                times, fixes = entry
+                horizon += fixes[
+                    bisect_right(times, window.pre_end) : bisect_right(times, window.post_end)
+                ]
         defects = count_post_defects(window, horizon)
         for vector in compute_all(window, defects, cfg):
             per_belief[vector.belief_id].append((window, vector))
-    populations = {
-        belief: belief_population(
-            project_id,
-            belief,
-            per_belief[belief],
-            releases_total=len(releases),
-            alpha=cfg.alpha,
-            min_n=cfg.min_observations,
-        )
-        for belief in BELIEF_IDS
-    }
+    with shared_y_ranks():
+        populations = {
+            belief: belief_population(
+                project_id,
+                belief,
+                per_belief[belief],
+                releases_total=len(releases),
+                alpha=cfg.alpha,
+                min_n=cfg.min_observations,
+            )
+            for belief in BELIEF_IDS
+        }
     return ProjectAssessment(
         project_id=project_id,
         populations=populations,

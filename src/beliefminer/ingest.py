@@ -500,7 +500,7 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
             insertions = int(obj["insertions"])
             deletions = int(obj["deletions"])
             is_bug_fix = bool(obj["is_bug_fix"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CacheError(path, line_no, f"bad field value: {exc}") from exc
         if insertions < 0 or deletions < 0:
             raise CacheError(path, line_no, "negative churn")
@@ -534,7 +534,11 @@ def write_releases(releases: list[Release], path: str | Path) -> None:
 
 
 def read_releases(path: str | Path) -> list[Release]:
+    """Read a releases cache. Field errors come first, in file order; then
+    the first line whose ordinal is not its position, then the first line
+    whose time is earlier than the line before."""
     releases: list[Release] = []
+    line_nos: list[int] = []
     for line_no, obj in _decode_lines(path, _RELEASE_KEYS, "release"):
         try:
             release = Release(
@@ -542,13 +546,14 @@ def read_releases(path: str | Path) -> list[Release]:
                 release_time=int(obj["release_time"]),
                 ordinal=int(obj["ordinal"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise CacheError(path, line_no, f"bad field value: {exc}") from exc
         releases.append(release)
-    expected = list(range(1, len(releases) + 1))
-    if [r.ordinal for r in releases] != expected:
-        raise CacheError(path, len(releases), "release ordinals are not 1..N in order")
-    for earlier, later in zip(releases, releases[1:]):
+        line_nos.append(line_no)
+    for position, (release, line_no) in enumerate(zip(releases, line_nos), start=1):
+        if release.ordinal != position:
+            raise CacheError(path, line_no, "release ordinals are not 1..N in order")
+    for earlier, later, line_no in zip(releases, releases[1:], line_nos[1:]):
         if later.release_time < earlier.release_time:
-            raise CacheError(path, later.ordinal, "release times are not sorted")
+            raise CacheError(path, line_no, "release times are not sorted")
     return releases

@@ -42,7 +42,7 @@ class BeliefVector:
             raise ValueError(f"unknown belief id: {self.belief_id}")
         if not (len(self.entity_ids) == len(self.x) == len(self.y)):
             raise ValueError("entity_ids, x and y must have equal length")
-        if any(count < 0 for count in self.y):
+        if self.y and min(self.y) < 0:
             raise ValueError("defect counts must be nonnegative")
 
     @property
@@ -50,29 +50,9 @@ class BeliefVector:
         return len(self.x)
 
 
-def _records_by_file(window: ReleaseWindow) -> dict[str, list[ChangeRecord]]:
-    grouped: dict[str, list[ChangeRecord]] = defaultdict(list)
-    for record in window.pre_records:
-        grouped[record.file_path].append(record)
-    return grouped
-
-
-def _file_vector(
-    belief_id: str, values: dict[str, float], defects: DefectCounts
-) -> BeliefVector:
-    ids = sorted(values)
-    return BeliefVector(
-        belief_id=belief_id,
-        entity_ids=ids,
-        x=[float(values[i]) for i in ids],
-        y=[defects.per_file.get(i, 0) for i in ids],
-    )
-
-
-def metric_b1_hcm(
-    window: ReleaseWindow, defects: DefectCounts, cfg: Config = DEFAULTS
-) -> BeliefVector:
-    """B1: decayed normalized change entropy accumulated per file.
+def _hcm(window: ReleaseWindow, cfg: Config) -> dict[str, float]:
+    """B1 per file: decayed normalized change entropy, accumulated over the
+    periods in the order they are first seen in the records.
 
     The pre period is cut into consecutive periods of cfg.period_days
     (oldest first, last one possibly short); a pre period shorter than one
@@ -82,136 +62,36 @@ def metric_b1_hcm(
     accrues w_j * H_j with w_j = exp(-decay_rate * (J - j)), so the newest
     period is undecayed and older periods fade geometrically.
     """
-    if not window.pre_records:
-        return BeliefVector("B1", [], [], [])
-    span = window.pre_end - window.pre_start
+    start = window.pre_start
+    span = window.pre_end - start
     period_len = cfg.period_days * SECONDS_PER_DAY
+    times = [record.commit_time for record in window.pre_records]
     if span < period_len:
         total_periods = 2
         half = span / 2
-
-        def period_of(commit_time: int) -> int:
-            return 1 if commit_time - window.pre_start <= half else 2
-
+        periods = [1 if t - start <= half else 2 for t in times]
     else:
         total_periods = (span + period_len - 1) // period_len
-
-        def period_of(commit_time: int) -> int:
-            elapsed = commit_time - window.pre_start
-            return (elapsed + period_len - 1) // period_len
-
-    changes_per_period: dict[int, Counter[str]] = defaultdict(Counter)
-    for record in window.pre_records:
-        changes_per_period[period_of(record.commit_time)][record.file_path] += 1
-
+        periods = [(t - start + period_len - 1) // period_len for t in times]
+    pair_counts = Counter(zip(periods, [r.file_path for r in window.pre_records]))
+    changes_per_period: dict[int, list[tuple[str, int]]] = defaultdict(list)
+    for (j, path), count in pair_counts.items():
+        changes_per_period[j].append((path, count))
     values: dict[str, float] = defaultdict(float)
     for j, changes in changes_per_period.items():
         distinct = len(changes)
         if distinct <= 1:
             entropy = 0.0
         else:
-            total = sum(changes.values())
+            total = sum(count for _, count in changes)
             raw = -math.fsum(
-                (count / total) * math.log2(count / total)
-                for count in changes.values()
+                (count / total) * math.log2(count / total) for _, count in changes
             )
             entropy = raw / math.log2(distinct)
         weight = math.exp(-cfg.decay_rate * (total_periods - j))
-        for path in changes:
+        for path, _ in changes:
             values[path] += weight * entropy
-    return _file_vector("B1", values, defects)
-
-
-def metric_b2_developers(window: ReleaseWindow, defects: DefectCounts) -> BeliefVector:
-    """B2: distinct commit authors per file."""
-    authors: dict[str, set[str]] = defaultdict(set)
-    for record in window.pre_records:
-        authors[record.file_path].add(record.author)
-    return _file_vector("B2", {f: len(a) for f, a in authors.items()}, defects)
-
-
-def metric_churn(
-    window: ReleaseWindow, defects: DefectCounts, direction: str
-) -> BeliefVector:
-    """B3 (direction "added") or B9 (direction "removed"): summed line churn
-    per file over the pre period."""
-    if direction not in ("added", "removed"):
-        raise ValueError(f"direction must be 'added' or 'removed', got {direction!r}")
-    values: dict[str, float] = defaultdict(float)
-    for record in window.pre_records:
-        amount = record.insertions if direction == "added" else record.deletions
-        values[record.file_path] += amount
-    return _file_vector("B3" if direction == "added" else "B9", values, defects)
-
-
-def metric_recency(
-    window: ReleaseWindow, defects: DefectCounts, fixes_only: bool
-) -> BeliefVector:
-    """B4 (all commits) or B6 (bug-fix commits only): latest touch time per
-    file. For B6, files without a pre-period fix are excluded entirely."""
-    latest: dict[str, int] = {}
-    for record in window.pre_records:
-        if fixes_only and not record.is_bug_fix:
-            continue
-        previous = latest.get(record.file_path)
-        if previous is None or record.commit_time > previous:
-            latest[record.file_path] = record.commit_time
-    belief_id = "B6" if fixes_only else "B4"
-    return _file_vector(belief_id, {f: float(t) for f, t in latest.items()}, defects)
-
-
-def metric_b5_commit_churn(
-    window: ReleaseWindow, defects: DefectCounts
-) -> BeliefVector:
-    """B5: per-commit total churn against the summed defect counts of the
-    files the commit touched. A file touched by several commits contributes
-    its defect count to each of them."""
-    churn: dict[str, int] = defaultdict(int)
-    defect_sum: dict[str, int] = defaultdict(int)
-    for record in window.pre_records:
-        churn[record.commit_id] += record.insertions + record.deletions
-        defect_sum[record.commit_id] += defects.per_file.get(record.file_path, 0)
-    ids = sorted(churn)
-    return BeliefVector(
-        belief_id="B5",
-        entity_ids=ids,
-        x=[float(churn[i]) for i in ids],
-        y=[defect_sum[i] for i in ids],
-    )
-
-
-def metric_counts(
-    window: ReleaseWindow, defects: DefectCounts, fixes_only: bool
-) -> BeliefVector:
-    """B7 (fix commits) or B8 (all commits): pre-period touch count per file.
-    Unlike B6, a file with zero fixes keeps its zero."""
-    counts: dict[str, float] = defaultdict(float)
-    for record in window.pre_records:
-        counts[record.file_path] += 0.0
-        if record.is_bug_fix or not fixes_only:
-            counts[record.file_path] += 1.0
-    return _file_vector("B7" if fixes_only else "B8", counts, defects)
-
-
-def metric_b10_minor_share(
-    window: ReleaseWindow, defects: DefectCounts
-) -> BeliefVector:
-    """B10: percentage of a file's contributors whose churn share is below
-    5%. Files whose pre-period churn is all zero score 0."""
-    churn_by_author: dict[str, Counter[str]] = defaultdict(Counter)
-    for record in window.pre_records:
-        churn_by_author[record.file_path][record.author] += (
-            record.insertions + record.deletions
-        )
-    values: dict[str, float] = {}
-    for path, per_author in churn_by_author.items():
-        total = sum(per_author.values())
-        if total == 0:
-            values[path] = 0.0
-            continue
-        minors = sum(1 for amount in per_author.values() if amount / total < 0.05)
-        values[path] = 100.0 * minors / len(per_author)
-    return _file_vector("B10", values, defects)
+    return values
 
 
 def compute_all(
@@ -219,17 +99,99 @@ def compute_all(
     defects: DefectCounts,
     cfg: Config = DEFAULTS,
 ) -> list[BeliefVector]:
-    """All ten belief vectors for one window, in B1..B10 order; B1 reads
-    cfg.period_days and cfg.decay_rate."""
+    """All ten belief vectors for one window, in B1..B10 order.
+
+    One walk over the pre-period records groups them by file and sums B5's
+    per-commit totals; every vector is read from that. Entities are the
+    pre-period files, sorted, and the file-level vectors share one id list
+    and one defect list; B5's entities are commits, and B6 keeps only files
+    with a pre-period bug fix.
+
+    - B1: decayed normalized change entropy (see _hcm; reads
+      cfg.period_days and cfg.decay_rate).
+    - B2: distinct commit authors.
+    - B3 / B9: lines added / removed.
+    - B4 / B6: latest touch time, by any commit / by a bug-fix commit.
+    - B5: per-commit total churn against the summed defect counts of the
+      files the commit touched; a file touched by several commits counts
+      for each of them.
+    - B7 / B8: touches by bug-fix commits (zeros kept) / by all commits.
+    - B10: percentage of the file's contributors whose churn share is below
+      5%; a file whose churn is all zero scores 0.
+    """
+    records = window.pre_records
+    if not records:
+        return [BeliefVector(belief, [], [], []) for belief in BELIEF_IDS]
+    defect_of = defects.per_file.get
+    by_file: dict[str, list[ChangeRecord]] = defaultdict(list)
+    commit_churn: dict[str, int] = defaultdict(int)
+    commit_defects: dict[str, int] = defaultdict(int)
+    for record in records:
+        path = record.file_path
+        by_file[path].append(record)
+        commit = record.commit_id
+        commit_churn[commit] += record.insertions + record.deletions
+        commit_defects[commit] += defect_of(path, 0)
+    ids = sorted(by_file)
+    y = [defect_of(path, 0) for path in ids]
+
+    hcm = _hcm(window, cfg)
+    developers, added, latest, fix_counts, touches, removed, minor_share = (
+        [] for _ in range(7)
+    )
+    fixed_ids: list[str] = []
+    latest_fix: list[float] = []
+    fixed_y: list[int] = []
+    for path, count in zip(ids, y):
+        churn_by_author: dict[str, int] = {}
+        lines_added = lines_removed = fixes = 0.0
+        last = last_fix = None
+        for record in by_file[path]:
+            lines_added += record.insertions
+            lines_removed += record.deletions
+            author = record.author
+            churn_by_author[author] = (
+                churn_by_author.get(author, 0) + record.insertions + record.deletions
+            )
+            time = record.commit_time
+            if last is None or time > last:
+                last = time
+            if record.is_bug_fix:
+                fixes += 1.0
+                if last_fix is None or time > last_fix:
+                    last_fix = time
+        developers.append(float(len(churn_by_author)))
+        added.append(lines_added)
+        removed.append(lines_removed)
+        latest.append(float(last))
+        fix_counts.append(fixes)
+        touches.append(float(len(by_file[path])))
+        if last_fix is not None:
+            fixed_ids.append(path)
+            latest_fix.append(float(last_fix))
+            fixed_y.append(count)
+        total = sum(churn_by_author.values())
+        if total == 0 or len(churn_by_author) == 1:
+            minor_share.append(0.0)  # a sole contributor is never a minor one
+        else:
+            minors = sum(1 for amount in churn_by_author.values() if amount / total < 0.05)
+            minor_share.append(100.0 * minors / len(churn_by_author))
+
+    commits = sorted(commit_churn)
     return [
-        metric_b1_hcm(window, defects, cfg),
-        metric_b2_developers(window, defects),
-        metric_churn(window, defects, "added"),
-        metric_recency(window, defects, fixes_only=False),
-        metric_b5_commit_churn(window, defects),
-        metric_recency(window, defects, fixes_only=True),
-        metric_counts(window, defects, fixes_only=True),
-        metric_counts(window, defects, fixes_only=False),
-        metric_churn(window, defects, "removed"),
-        metric_b10_minor_share(window, defects),
+        BeliefVector("B1", ids, [hcm[path] for path in ids], y),
+        BeliefVector("B2", ids, developers, y),
+        BeliefVector("B3", ids, added, y),
+        BeliefVector("B4", ids, latest, y),
+        BeliefVector(
+            "B5",
+            commits,
+            [float(commit_churn[c]) for c in commits],
+            [commit_defects[c] for c in commits],
+        ),
+        BeliefVector("B6", fixed_ids, latest_fix, fixed_y),
+        BeliefVector("B7", ids, fix_counts, y),
+        BeliefVector("B8", ids, touches, y),
+        BeliefVector("B9", ids, removed, y),
+        BeliefVector("B10", ids, minor_share, y),
     ]

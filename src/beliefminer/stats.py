@@ -8,6 +8,7 @@ given an explicit seed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -15,6 +16,7 @@ import math
 import statistics
 import struct
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
@@ -80,36 +82,68 @@ class RankedGroup:
     treatments: tuple[GroupEntry, ...]
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based average ranks as floats; tied values share the mean of their
+    positions."""
+    a = np.asarray(values, dtype=float)
+    n = a.size
+    order = a.argsort(kind="stable")
+    ordered = a[order]
+    # positions where a run of equal values starts, then n
+    edges = np.ones(n + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=edges[1:n])
+    edges = edges.nonzero()[0]
+    starts, ends = edges[:-1], edges[1:]
+    ranks = np.empty(n)
+    ranks[order] = ((starts + ends + 1) / 2).repeat(ends - starts)
+    return ranks
+
+
 def rank_with_ties(values: list[float]) -> list[float]:
     """1-based average ranks; tied values share the mean of their positions."""
     if not values:
         raise ValueError("cannot rank an empty list")
-    n = len(values)
-    order = sorted(range(n), key=values.__getitem__)
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        average = (i + j + 2) / 2  # mean of 1-based positions i..j
-        for k in range(i, j + 1):
-            ranks[order[k]] = average
-        i = j + 1
-    return ranks
+    return _average_ranks(values).tolist()
 
 
-def _pearson(a: list[float], b: list[float]) -> float:
-    n = len(a)
-    mean_a = fsum(a) / n
-    mean_b = fsum(b) / n
-    da = [v - mean_a for v in a]
-    db = [v - mean_b for v in b]
-    num = fsum(x * y for x, y in zip(da, db))
-    den = math.sqrt(fsum(x * x for x in da) * fsum(y * y for y in db))
-    if den == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, num / den))
+def _centred(ranks: np.ndarray) -> tuple[np.ndarray, float]:
+    """Average ranks minus their mean, and the sum of their squares.
+
+    Average ranks are multiples of 0.5 whose mean is exactly (n+1)/2, so
+    every centred rank and every product of two is exact in float64, and
+    fsum gives the same correctly rounded sums whatever the order."""
+    centred = ranks - (ranks.size + 1) / 2
+    return centred, fsum((centred * centred).tolist())
+
+
+# Ranks of the y vectors seen inside shared_y_ranks(), keyed by their values,
+# so a memo met by any other caller can only save work, never change a
+# result. In assess, every file-level belief of a window is correlated
+# against the same defect vector, so each distinct one is ranked once.
+_y_ranks: dict[tuple, tuple[np.ndarray, np.ndarray, float]] | None = None
+
+
+@contextlib.contextmanager
+def shared_y_ranks() -> Iterator[None]:
+    """Within the block, spearman ranks each distinct y vector once; the
+    ranks are dropped when the block exits."""
+    global _y_ranks
+    _y_ranks = {}
+    try:
+        yield
+    finally:
+        _y_ranks = None
+
+
+def _y_side(y) -> tuple[np.ndarray, np.ndarray, float]:
+    """y's average ranks, centred ranks and their sum of squares."""
+    memo = {} if _y_ranks is None else _y_ranks
+    key = tuple(y)
+    side = memo.get(key)
+    if side is None:
+        ranks = _average_ranks(y)
+        side = memo[key] = (ranks, *_centred(ranks))
+    return side
 
 
 @functools.lru_cache(maxsize=EXACT_P_MAX_N)
@@ -163,9 +197,10 @@ def spearman(
 ) -> SupportScore:
     """Spearman correlation: Pearson over average ranks.
 
-    A constant x or y vector yields rho = 0 and p = 1 by convention. The
-    p-value is an exact permutation enumeration when exact_p and n <= 8,
-    otherwise the two-sided Student-t approximation.
+    A constant x or y vector yields rho = 0 and p = 1 by convention, so the
+    rank spreads below are never zero. The p-value is an exact permutation
+    enumeration when exact_p and n <= 8, otherwise the two-sided Student-t
+    approximation.
     """
     n = len(x)
     if n != len(y):
@@ -174,11 +209,13 @@ def spearman(
         raise ValueError("need at least 2 observations")
     if min(x) == max(x) or min(y) == max(y):
         return SupportScore(0.0, 1.0, n, belief_id, release_ordinal)
-    rank_x = rank_with_ties(list(x))
-    rank_y = rank_with_ties(list(y))
-    rho = _pearson(rank_x, rank_y)
+    rank_x = _average_ranks(x)
+    centred_x, sum_xx = _centred(rank_x)
+    rank_y, centred_y, sum_yy = _y_side(y)
+    den = math.sqrt(sum_xx * sum_yy)
+    rho = max(-1.0, min(1.0, fsum((centred_x * centred_y).tolist()) / den))
     if exact_p and n <= EXACT_P_MAX_N:
-        p_value = _permutation_p(rank_x, rank_y, rho)
+        p_value = _permutation_p(rank_x.tolist(), rank_y.tolist(), rho)
     else:
         p_value = _t_approximation_p(rho, n)
     return SupportScore(rho, p_value, n, belief_id, release_ordinal)

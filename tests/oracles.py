@@ -9,7 +9,11 @@ former one-permutation-at-a-time enumeration, kept as the bit-exact
 reference for its vectorised replacement; classify_message_loop is the
 former stem-by-stem keyword matcher, kept the same way; read_history_loop
 is the former one-json.loads-per-line cache reader, the reference for the
-scanner-based one.
+scanner-based one; the metric_* functions are the former one-walk-per-belief
+metrics, the reference for metrics.compute_all's single grouped pass;
+rank_with_ties_loop and pearson_fsum are the former sweep ranks and fsum
+Pearson, the bit-exact reference for spearman's numpy ranks and centred
+sums.
 """
 
 from __future__ import annotations
@@ -19,13 +23,17 @@ import json
 import math
 import re
 import statistics
+from collections import Counter, defaultdict
 from math import fsum
 
 import numpy as np
 
+from beliefminer.config import DEFAULTS, SECONDS_PER_DAY, Config
 from beliefminer.ingest import CacheError, ChangeRecord
 from beliefminer.labeling import KeywordSet
+from beliefminer.metrics import BeliefVector
 from beliefminer.stats import Treatment, split_is_distinct
+from beliefminer.windowing import DefectCounts, ReleaseWindow
 
 
 def rank_brute(values):
@@ -52,6 +60,40 @@ def pearson_brute(a, b):
 
 def spearman_brute(x, y):
     return pearson_brute(rank_brute(x), rank_brute(y))
+
+
+def rank_with_ties_loop(values: list[float]) -> list[float]:
+    """1-based average ranks by one sweep over the sorted positions."""
+    n = len(values)
+    order = sorted(range(n), key=values.__getitem__)
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        average = (i + j + 2) / 2  # mean of 1-based positions i..j
+        for k in range(i, j + 1):
+            ranks[order[k]] = average
+        i = j + 1
+    return ranks
+
+
+def pearson_fsum(a: list[float], b: list[float]) -> float:
+    n = len(a)
+    mean_a = fsum(a) / n
+    mean_b = fsum(b) / n
+    da = [v - mean_a for v in a]
+    db = [v - mean_b for v in b]
+    num = fsum(x * y for x, y in zip(da, db))
+    den = math.sqrt(fsum(x * x for x in da) * fsum(y * y for y in db))
+    if den == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, num / den))
+
+
+def spearman_rho_loop(x, y) -> float:
+    return pearson_fsum(rank_with_ties_loop(list(x)), rank_with_ties_loop(list(y)))
 
 
 def _rho_matrix(rank_x: np.ndarray, permuted_y: np.ndarray) -> np.ndarray:
@@ -209,9 +251,166 @@ def read_history_loop(path):
                     deletions=int(obj["deletions"]),
                     is_bug_fix=bool(obj["is_bug_fix"]),
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise CacheError(path, line_no, f"bad field value: {exc}") from exc
             if record.insertions < 0 or record.deletions < 0:
                 raise CacheError(path, line_no, "negative churn")
             records.append(record)
     return records
+
+
+def _file_vector(
+    belief_id: str, values: dict[str, float], defects: DefectCounts
+) -> BeliefVector:
+    ids = sorted(values)
+    return BeliefVector(
+        belief_id=belief_id,
+        entity_ids=ids,
+        x=[float(values[i]) for i in ids],
+        y=[defects.per_file.get(i, 0) for i in ids],
+    )
+
+
+def metric_b1_hcm(
+    window: ReleaseWindow, defects: DefectCounts, cfg: Config = DEFAULTS
+) -> BeliefVector:
+    """B1: decayed normalized change entropy accumulated per file.
+
+    The pre period is cut into consecutive periods of cfg.period_days
+    (oldest first, last one possibly short); a pre period shorter than one
+    full period is cut into two equal halves instead. Period j gets the
+    normalized Shannon entropy H_j of its per-file change proportions
+    (H_j = 0 when only one file changed), and every file changed in j
+    accrues w_j * H_j with w_j = exp(-decay_rate * (J - j)), so the newest
+    period is undecayed and older periods fade geometrically.
+    """
+    if not window.pre_records:
+        return BeliefVector("B1", [], [], [])
+    span = window.pre_end - window.pre_start
+    period_len = cfg.period_days * SECONDS_PER_DAY
+    if span < period_len:
+        total_periods = 2
+        half = span / 2
+
+        def period_of(commit_time: int) -> int:
+            return 1 if commit_time - window.pre_start <= half else 2
+
+    else:
+        total_periods = (span + period_len - 1) // period_len
+
+        def period_of(commit_time: int) -> int:
+            elapsed = commit_time - window.pre_start
+            return (elapsed + period_len - 1) // period_len
+
+    changes_per_period: dict[int, Counter[str]] = defaultdict(Counter)
+    for record in window.pre_records:
+        changes_per_period[period_of(record.commit_time)][record.file_path] += 1
+
+    values: dict[str, float] = defaultdict(float)
+    for j, changes in changes_per_period.items():
+        distinct = len(changes)
+        if distinct <= 1:
+            entropy = 0.0
+        else:
+            total = sum(changes.values())
+            raw = -math.fsum(
+                (count / total) * math.log2(count / total)
+                for count in changes.values()
+            )
+            entropy = raw / math.log2(distinct)
+        weight = math.exp(-cfg.decay_rate * (total_periods - j))
+        for path in changes:
+            values[path] += weight * entropy
+    return _file_vector("B1", values, defects)
+
+
+def metric_b2_developers(window: ReleaseWindow, defects: DefectCounts) -> BeliefVector:
+    """B2: distinct commit authors per file."""
+    authors: dict[str, set[str]] = defaultdict(set)
+    for record in window.pre_records:
+        authors[record.file_path].add(record.author)
+    return _file_vector("B2", {f: len(a) for f, a in authors.items()}, defects)
+
+
+def metric_churn(
+    window: ReleaseWindow, defects: DefectCounts, direction: str
+) -> BeliefVector:
+    """B3 (direction "added") or B9 (direction "removed"): summed line churn
+    per file over the pre period."""
+    if direction not in ("added", "removed"):
+        raise ValueError(f"direction must be 'added' or 'removed', got {direction!r}")
+    values: dict[str, float] = defaultdict(float)
+    for record in window.pre_records:
+        amount = record.insertions if direction == "added" else record.deletions
+        values[record.file_path] += amount
+    return _file_vector("B3" if direction == "added" else "B9", values, defects)
+
+
+def metric_recency(
+    window: ReleaseWindow, defects: DefectCounts, fixes_only: bool
+) -> BeliefVector:
+    """B4 (all commits) or B6 (bug-fix commits only): latest touch time per
+    file. For B6, files without a pre-period fix are excluded entirely."""
+    latest: dict[str, int] = {}
+    for record in window.pre_records:
+        if fixes_only and not record.is_bug_fix:
+            continue
+        previous = latest.get(record.file_path)
+        if previous is None or record.commit_time > previous:
+            latest[record.file_path] = record.commit_time
+    belief_id = "B6" if fixes_only else "B4"
+    return _file_vector(belief_id, {f: float(t) for f, t in latest.items()}, defects)
+
+
+def metric_b5_commit_churn(
+    window: ReleaseWindow, defects: DefectCounts
+) -> BeliefVector:
+    """B5: per-commit total churn against the summed defect counts of the
+    files the commit touched. A file touched by several commits contributes
+    its defect count to each of them."""
+    churn: dict[str, int] = defaultdict(int)
+    defect_sum: dict[str, int] = defaultdict(int)
+    for record in window.pre_records:
+        churn[record.commit_id] += record.insertions + record.deletions
+        defect_sum[record.commit_id] += defects.per_file.get(record.file_path, 0)
+    ids = sorted(churn)
+    return BeliefVector(
+        belief_id="B5",
+        entity_ids=ids,
+        x=[float(churn[i]) for i in ids],
+        y=[defect_sum[i] for i in ids],
+    )
+
+
+def metric_counts(
+    window: ReleaseWindow, defects: DefectCounts, fixes_only: bool
+) -> BeliefVector:
+    """B7 (fix commits) or B8 (all commits): pre-period touch count per file.
+    Unlike B6, a file with zero fixes keeps its zero."""
+    counts: dict[str, float] = defaultdict(float)
+    for record in window.pre_records:
+        counts[record.file_path] += 0.0
+        if record.is_bug_fix or not fixes_only:
+            counts[record.file_path] += 1.0
+    return _file_vector("B7" if fixes_only else "B8", counts, defects)
+
+
+def metric_b10_minor_share(
+    window: ReleaseWindow, defects: DefectCounts
+) -> BeliefVector:
+    """B10: percentage of a file's contributors whose churn share is below
+    5%. Files whose pre-period churn is all zero score 0."""
+    churn_by_author: dict[str, Counter[str]] = defaultdict(Counter)
+    for record in window.pre_records:
+        churn_by_author[record.file_path][record.author] += (
+            record.insertions + record.deletions
+        )
+    values: dict[str, float] = {}
+    for path, per_author in churn_by_author.items():
+        total = sum(per_author.values())
+        if total == 0:
+            values[path] = 0.0
+            continue
+        minors = sum(1 for amount in per_author.values() if amount / total < 0.05)
+        values[path] = 100.0 * minors / len(per_author)
+    return _file_vector("B10", values, defects)

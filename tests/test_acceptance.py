@@ -13,6 +13,8 @@ from oracles import (
     a12_brute,
     exact_permutation_p,
     mc_permutation_p,
+    metric_b1_hcm,
+    metric_churn,
     scott_knott_brute,
     spearman_brute,
 )
@@ -27,7 +29,7 @@ from beliefminer.analysis import (
 from beliefminer.cli import main
 from beliefminer.ingest import ChangeRecord, Release, read_history, read_releases
 from beliefminer.config import Config
-from beliefminer.metrics import compute_all, metric_b1_hcm, metric_churn
+from beliefminer.metrics import compute_all
 from beliefminer.stats import Treatment, _t_approximation_p, a12, scott_knott, spearman
 from beliefminer.synthgen import ScenarioSpec, generate
 from beliefminer.windowing import (

@@ -36,7 +36,7 @@ from beliefminer.analysis import (
     write_summary_csv,
     write_windows_csv,
 )
-from beliefminer import analysis, windowing
+from beliefminer import analysis, stats, windowing
 from beliefminer.config import SECONDS_PER_DAY, Config
 from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
 from beliefminer.metrics import BeliefVector
@@ -140,18 +140,25 @@ def test_assess_project_matches_fixture_goldens(fixture_repo, data_dir):
         }
 
 
-def _tied_history(seed):
-    """Shuffled records around ten releases whose post horizons overlap.
+def _tied_history(seed, dense=False):
+    """Shuffled records around releases whose post horizons overlap.
 
     Many commit times sit exactly on a window's pre_end or post_end; some
     fixes touch non-source paths, and src/late.py is only ever changed
-    after the last release, so it is in no pre period.
+    after the last release, so it is in no pre period. By default ten
+    releases two days apart under a three-day horizon; dense gives thirty
+    releases six hours apart under a 30-day horizon, so every horizon holds
+    nearly every later fix, over forty files of which each window changes
+    only some.
     """
     rng = random.Random(seed)
-    post_days = 3
+    if dense:
+        count, spacing, post_days, files = 30, 6 * 3600, 30, 40
+    else:
+        count, spacing, post_days, files = 10, 2 * SECONDS_PER_DAY, 3, 6
     releases, time = [], 1_000_000
-    for ordinal in range(1, 11):
-        time += 2 * SECONDS_PER_DAY + rng.randrange(-3, 4) * 3600
+    for ordinal in range(1, count + 1):
+        time += spacing + rng.randrange(-3, 4) * 3600
         releases.append(Release(f"v{ordinal}", time, ordinal))
     edges = [
         edge + shift
@@ -160,7 +167,7 @@ def _tied_history(seed):
         for shift in (-1, 0, 0, 0, 1)
     ]
     first, last = releases[0].release_time, releases[-1].release_time
-    paths = [f"src/m{i}.py" for i in range(6)] + ["docs/notes.md", "tests/m0_test.py"]
+    paths = [f"src/m{i}.py" for i in range(files)] + ["docs/notes.md", "tests/m0_test.py"]
     records = []
     for i in range(600):
         if rng.random() < 0.6:
@@ -178,26 +185,38 @@ def _tied_history(seed):
     return records, releases, Config(post_days=post_days, min_files=1, min_observations=2)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_assess_project_counts_defects_from_each_horizon_only(monkeypatch, seed):
-    records, releases, cfg = _tied_history(seed)
+def _check_horizon_counting(monkeypatch, seed, dense):
+    records, releases, cfg = _tied_history(seed, dense)
     calls = []
+    outside_files = 0
 
     def horizon_only(window, horizon):
-        assert all(
-            r.is_bug_fix and window.pre_end < r.commit_time <= window.post_end
-            for r in horizon
+        nonlocal outside_files
+        files = {r.file_path for r in window.pre_records}
+        in_horizon = [
+            r for r in records if r.is_bug_fix and window.pre_end < r.commit_time <= window.post_end
+        ]
+        outside_files += sum(r.file_path not in files for r in in_horizon)
+        # only this window's files' fixes inside its horizon, each one once
+        assert sorted(horizon, key=id) == sorted(
+            (r for r in in_horizon if r.file_path in files), key=id
         )
         defects = windowing.count_post_defects(window, horizon)
         assert defects == windowing.count_post_defects(window, records)
+        assert sum(defects.per_file.values()) == len(horizon)
         calls.append(window)
         return defects
 
     monkeypatch.setattr(analysis, "count_post_defects", horizon_only)
     sliced = assess_project("p", records, releases, cfg)
-    assert len(calls) == sum(row.qualified for row in sliced.window_rows) == 9
+    assert len(calls) == sum(row.qualified for row in sliced.window_rows) == len(releases) - 1
     assert any(r.commit_time == w.pre_end and r.is_bug_fix for w in calls for r in records)
     assert any(r.commit_time == w.post_end and r.is_bug_fix for w in calls for r in records)
+    assert outside_files > 0  # fixes the guard had to keep out
+    if dense:
+        # each horizon reaches past every later fix but those on far edges
+        last = releases[-1].release_time
+        assert all(w.post_end > last + 9 * SECONDS_PER_DAY for w in calls)
 
     # The same assessment as when every window is counted over all records.
     monkeypatch.setattr(
@@ -206,6 +225,44 @@ def test_assess_project_counts_defects_from_each_horizon_only(monkeypatch, seed)
         lambda window, _: windowing.count_post_defects(window, records),
     )
     assert assess_project("p", records, releases, cfg) == sliced
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_assess_project_counts_defects_from_each_horizon_only(monkeypatch, seed):
+    _check_horizon_counting(monkeypatch, seed, dense=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_assess_project_counts_defects_with_dense_releases(monkeypatch, seed):
+    _check_horizon_counting(monkeypatch, seed, dense=True)
+
+
+def test_assess_project_shares_defect_ranks_within_the_project_only(monkeypatch):
+    records, releases, cfg = _tied_history(0)
+    memo_sizes = []
+    real = analysis.belief_population
+
+    def spy(*args, **kwargs):
+        population = real(*args, **kwargs)
+        memo_sizes.append(len(stats._y_ranks))
+        return population
+
+    monkeypatch.setattr(analysis, "belief_population", spy)
+    assessment = assess_project("p", records, releases, cfg)
+    assert stats._y_ranks is None
+    # at most one entry per window for the file-level beliefs, one for B5's
+    # and one for B6's vectors
+    windows = sum(row.qualified for row in assessment.window_rows)
+    assert 0 < memo_sizes[0] <= memo_sizes[-1] <= 3 * windows
+
+    def failing(*args, **kwargs):
+        real(*args, **kwargs)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(analysis, "belief_population", failing)
+    with pytest.raises(RuntimeError):
+        assess_project("p", records, releases, cfg)
+    assert stats._y_ranks is None
 
 
 # --- labels, coverage, prevalence ----------------------------------------------

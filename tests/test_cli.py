@@ -240,6 +240,28 @@ def test_assess_corrupt_cache_names_line(tmp_path, data_dir, capsys):
     assert "history.jsonl:5:" in stderr
 
 
+@pytest.mark.parametrize(
+    "cache, field, value",
+    [
+        ("history.jsonl", "insertions", float("inf")),
+        ("history.jsonl", "commit_time", float("-inf")),
+        ("releases.jsonl", "release_time", float("inf")),
+    ],
+)
+def test_assess_infinite_field_is_a_data_error(tmp_path, data_dir, capsys, cache, field, value):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    path = caches / cache
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    row[field] = value
+    lines[1] = json.dumps(row)  # writes Infinity or -Infinity
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {path}:2: bad field value" in stderr
+
+
 # --- report --------------------------------------------------------------------
 
 

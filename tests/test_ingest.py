@@ -486,6 +486,8 @@ _READER_CASES = {
     "non-numeric-string-count": _cache_bytes([_row(insertions="three")]),
     "float-time": _cache_bytes([_row(commit_time=1.5)]),
     "nan-time": _cache_bytes([_row(commit_time=float("nan"))]),
+    "infinity-count": _cache_bytes([_GOOD, _row(insertions=float("inf"))]),
+    "minus-infinity-time": _cache_bytes([_row(commit_time=float("-inf")), _GOOD]),
     "null-fields": _cache_bytes([_row(file_path=None, is_bug_fix=None)]),
     "list-count": _cache_bytes([_row(deletions=[1])]),
     "string-flag": _cache_bytes([_row(is_bug_fix="no")]),
@@ -517,6 +519,17 @@ def test_read_history_equals_loop_reference(tmp_path, case):
     path = tmp_path / "history.jsonl"
     path.write_bytes(_READER_CASES[case])
     assert _reader_outcome(read_history, path) == _reader_outcome(read_history_loop, path)
+
+
+@pytest.mark.parametrize("field", ["commit_time", "insertions", "deletions"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_read_history_infinite_field_is_cache_error(tmp_path, field, value):
+    path = tmp_path / "history.jsonl"
+    path.write_bytes(_cache_bytes([_GOOD, _row(**{field: value})]))
+    with pytest.raises(CacheError) as excinfo:
+        read_history(path)
+    assert excinfo.value.line_no == 2
+    assert excinfo.value.reason.startswith("bad field value")
 
 
 def test_read_history_equals_loop_reference_on_fixture_cache(data_dir):
@@ -551,3 +564,67 @@ def test_read_releases_reports_first_bad_line(tmp_path, line, reason):
         read_releases(path)
     assert excinfo.value.line_no == 3
     assert excinfo.value.reason.startswith(reason)
+
+
+def _release_line(ordinal, time):
+    return json.dumps({"tag_name": f"v{ordinal}", "release_time": time, "ordinal": ordinal})
+
+
+@pytest.mark.parametrize("field", ["release_time", "ordinal"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+def test_read_releases_infinite_field_is_cache_error(tmp_path, field, value):
+    path = tmp_path / "releases.jsonl"
+    row = {"tag_name": "v2", "release_time": 200, "ordinal": 2, field: value}
+    path.write_text(f"{_release_line(1, 100)}\n{json.dumps(row)}\n", encoding="utf-8")
+    with pytest.raises(CacheError) as excinfo:
+        read_releases(path)
+    assert excinfo.value.line_no == 2
+    assert excinfo.value.reason.startswith("bad field value")
+
+
+# Each case: the cache's lines (None is a blank line), the line the error
+# must name, and its reason.
+@pytest.mark.parametrize(
+    "lines, line_no, reason",
+    [
+        (
+            [_release_line(o, 100 * o) for o in (1, 3, 2, 4)],
+            2,
+            "release ordinals are not 1..N in order",
+        ),
+        (
+            [
+                _release_line(1, 100),
+                None,
+                _release_line(3, 300),
+                _release_line(2, 200),
+                _release_line(4, 400),
+            ],
+            3,
+            "release ordinals are not 1..N in order",
+        ),
+        (
+            [_release_line(1, 100), _release_line(2, 200), _release_line(2, 300)],
+            3,
+            "release ordinals are not 1..N in order",
+        ),
+        (
+            [None, _release_line(1, 100), _release_line(2, 300), _release_line(3, 200)],
+            4,
+            "release times are not sorted",
+        ),
+        (
+            [_release_line(1, 300), None, None, _release_line(2, 100), _release_line(3, 50)],
+            4,
+            "release times are not sorted",
+        ),
+    ],
+    ids=["swapped-ordinals", "swapped-after-blank", "repeated-ordinal",
+         "unsorted-after-blank", "unsorted-twice"],
+)
+def test_read_releases_names_first_bad_line(tmp_path, lines, line_no, reason):
+    path = tmp_path / "releases.jsonl"
+    path.write_text("".join(f"{line or ''}\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CacheError) as excinfo:
+        read_releases(path)
+    assert (excinfo.value.line_no, excinfo.value.reason) == (line_no, reason)

@@ -7,15 +7,18 @@ files, and the post horizon holds four fix commits.
 """
 
 import math
+import random
 
 import pytest
 
 from beliefminer.config import Config
 from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
-from beliefminer.metrics import (
-    BELIEF_IDS,
-    BeliefVector,
-    compute_all,
+from beliefminer.synthgen import ScenarioSpec, generate
+from beliefminer.metrics import BELIEF_IDS, BeliefVector, compute_all
+from beliefminer.windowing import DefectCounts, ReleaseWindow, build_windows, count_post_defects
+
+from fixture_repo import DAY, T0
+from oracles import (
     metric_b1_hcm,
     metric_b2_developers,
     metric_b5_commit_churn,
@@ -24,9 +27,6 @@ from beliefminer.metrics import (
     metric_counts,
     metric_recency,
 )
-from beliefminer.windowing import build_windows, count_post_defects
-
-from fixture_repo import DAY, T0
 
 
 def _half_life(periods_back: int) -> float:
@@ -374,3 +374,123 @@ def test_belief_vector_validation():
         BeliefVector("B1", ["a"], [1.0], [-1])
     vec = BeliefVector("B1", ["a", "b"], [1.0, 2.0], [0, 3])
     assert vec.n == 2
+
+
+# --- compute_all against the one-walk-per-belief reference ---------------------
+
+
+def _reference_vectors(window, defects, cfg):
+    return [
+        metric_b1_hcm(window, defects, cfg),
+        metric_b2_developers(window, defects),
+        metric_churn(window, defects, "added"),
+        metric_recency(window, defects, fixes_only=False),
+        metric_b5_commit_churn(window, defects),
+        metric_recency(window, defects, fixes_only=True),
+        metric_counts(window, defects, fixes_only=True),
+        metric_counts(window, defects, fixes_only=False),
+        metric_churn(window, defects, "removed"),
+        metric_b10_minor_share(window, defects),
+    ]
+
+
+def _assert_same_vectors(got, want):
+    assert [v.belief_id for v in got] == [v.belief_id for v in want]
+    for g, w in zip(got, want):
+        assert g.entity_ids == w.entity_ids, g.belief_id
+        assert g.y == w.y, g.belief_id
+        # bit for bit: a last-bit change can make or break a rank tie
+        assert [v.hex() for v in g.x] == [v.hex() for v in w.x], g.belief_id
+
+
+def _random_window(rng):
+    """A pre period with commit-time ties, zero-churn touches, commits by
+    one author, a length below or above period_days, files never fixed,
+    periods where one file changed alone, and records in time order or
+    shuffled."""
+    pre_start = 1_000_000
+    span = rng.choice([1, 3 * DAY, 10 * DAY, 14 * DAY, 45 * DAY + 7, 200 * DAY])
+    files = [f"src/f{i}.py" for i in range(rng.randint(1, 12))]
+    authors = [f"dev{i}@x" for i in range(rng.randint(1, 4))]
+    # a lone commit at the start often has a period, or a half, to itself
+    lone = rng.random() < 0.3
+    earliest = span // 2 + 1 if lone else 1
+    times = [pre_start + rng.randint(earliest, span) for _ in range(rng.randint(1, 6))]
+    # period edges: the midpoint of a short pre period, whole days
+    times += [pre_start + t for t in (span // 2, DAY, 14 * DAY) if earliest <= t <= span]
+    records = []
+    if lone:
+        records.append(ChangeRecord("c99", pre_start + 1, authors[0], "src/lone.py", 1, 1, False))
+    for commit in range(rng.randint(1, 30)):
+        when, author, fix = rng.choice(times), rng.choice(authors), rng.random() < 0.3
+        for path in rng.sample(files, rng.randint(1, min(4, len(files)))):
+            churn = (rng.choice([0, 0, 1, 2, 7, 95]), rng.choice([0, 0, 1, 5, 300]))
+            records.append(ChangeRecord(f"c{commit:02d}", when, author, path, *churn, fix))
+    if rng.random() < 0.5:
+        rng.shuffle(records)
+    else:
+        records.sort(key=lambda r: (r.commit_time, r.commit_id, r.file_path))
+    window = ReleaseWindow(
+        release=Release("vX", pre_start + span, 2),
+        pre_start=pre_start,
+        pre_end=pre_start + span,
+        post_end=pre_start + span + 182 * DAY,
+        pre_records=records,
+        distinct_files=len({r.file_path for r in records}),
+    )
+    touched = sorted({r.file_path for r in records})
+    defects = DefectCounts(per_file={path: rng.choice([0, 0, 1, 3]) for path in touched})
+    return window, defects
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_all_equals_reference_on_random_windows(seed):
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(150):
+        window, defects = _random_window(rng)
+        cfg = rng.choice([Config(), Config(period_days=1, decay_rate=0.3)])
+        vectors = compute_all(window, defects, cfg)
+        _assert_same_vectors(vectors, _reference_vectors(window, defects, cfg))
+        records = window.pre_records
+        files = {r.file_path for r in records}
+        fixed = {r.file_path for r in records if r.is_bug_fix}
+        churn = dict.fromkeys(files, 0)
+        commits_by_author = {}
+        for r in records:
+            churn[r.file_path] += r.insertions + r.deletions
+            commits_by_author.setdefault(r.author, set()).add(r.commit_id)
+        times = [r.commit_time for r in records]
+        short = window.pre_end - window.pre_start < cfg.period_days * DAY
+        features = {
+            "short pre period": short,
+            "long pre period": not short,
+            "single file": len(files) == 1,
+            "file changed only in single-file periods": len(files) > 1 and 0.0 in vectors[0].x,
+            "zero churn": 0 in churn.values(),
+            "unfixed file": bool(files - fixed),
+            "no fix": not fixed,
+            "author, several commits": any(len(c) > 1 for c in commits_by_author.values()),
+            "shuffled": times != sorted(times),
+        }
+        seen |= {name for name, present in features.items() if present}
+    assert seen == set(features)
+
+
+def test_compute_all_equals_reference_on_synthetic_windows():
+    spec = ScenarioSpec(releases=40, files_min=5, files_max=30, planted_belief="B3", noise_seed=7)
+    records, releases = generate(spec)
+    windows = build_windows(releases, records)
+    assert len(windows) == 39
+    for window in windows:
+        defects = count_post_defects(window, records)
+        _assert_same_vectors(
+            compute_all(window, defects), _reference_vectors(window, defects, Config())
+        )
+
+
+def test_compute_all_equals_reference_on_empty_window():
+    window, defects = _window([], 0, 100)
+    _assert_same_vectors(
+        compute_all(window, defects), _reference_vectors(window, defects, Config())
+    )

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from beliefminer import stats
 from beliefminer.stats import (
     EXACT_P_MAX_N,
     _permutation_p,
@@ -25,6 +26,7 @@ from beliefminer.stats import (
     quartiles,
     rank_with_ties,
     scott_knott,
+    shared_y_ranks,
     spearman,
     split_is_distinct,
 )
@@ -35,8 +37,10 @@ from oracles import (
     exact_permutation_p_loop,
     mc_permutation_p,
     rank_brute,
+    rank_with_ties_loop,
     scott_knott_brute,
     spearman_brute,
+    spearman_rho_loop,
 )
 
 
@@ -118,6 +122,63 @@ def test_spearman_rho_matches_oracle_with_ties():
             continue
         got = spearman(x, y, exact_p=False).rho
         assert got == pytest.approx(spearman_brute(x, y), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 40, 500, 4000])
+def test_spearman_rho_is_bit_identical_to_loop_reference(n):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        spread = [2, 5, n, 10 * n][trial % 4]
+        x = [float(v) for v in rng.integers(0, spread, n)]
+        if trial % 5 == 0:
+            x = [float(v) for v in rng.normal(1e9, 1e6, n)]
+        y = [int(v) for v in rng.integers(0, spread, n)]
+        assert rank_with_ties(x) == rank_with_ties_loop(x)
+        assert rank_with_ties(y) == rank_with_ties_loop(y)
+        if min(x) == max(x) or min(y) == max(y):
+            continue
+        got = spearman(x, y, exact_p=False).rho
+        assert got.hex() == spearman_rho_loop(x, y).hex()
+
+
+def test_shared_y_ranks_interleaved_calls_match_plain_calls():
+    rng = np.random.default_rng(107)
+    ys = [[int(v) for v in rng.integers(0, 4, n)] for n in (30, 30, 7)]
+    calls = []
+    for i in range(24):
+        y = ys[i % 3]
+        if i % 4 == 0:
+            y = list(y)  # equal values in another list: the same memo entry
+        x = [float(v) for v in rng.integers(0, 9, len(y))]
+        calls.append((x, y))
+    plain = [spearman(x, y) for x, y in calls]
+    assert stats._y_ranks is None
+    with shared_y_ranks():
+        shared = [spearman(x, y) for x, y in calls]
+        assert len(stats._y_ranks) == len(ys)
+    assert stats._y_ranks is None
+    assert shared == plain
+    for (x, y), score in zip(calls, shared):
+        assert score.rho == pytest.approx(spearman_brute(x, y), abs=1e-12)
+
+
+def test_shared_y_ranks_follow_values_not_objects():
+    x = [1.0, 5.0, 2.0, 4.0, 3.0, 6.0, 0.0, 9.0, 8.0, 7.0]
+    y = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+    with shared_y_ranks():
+        first = spearman(x, y, exact_p=False)
+        y.reverse()  # same list, new values
+        second = spearman(x, y, exact_p=False)
+    assert second.rho == -first.rho
+    assert second.rho == pytest.approx(spearman_brute(x, y), abs=1e-12)
+
+
+def test_shared_y_ranks_dropped_on_error():
+    with pytest.raises(RuntimeError):
+        with shared_y_ranks():
+            spearman([1.0, 2.0, 3.0], [3, 1, 2])
+            raise RuntimeError("stop")
+    assert stats._y_ranks is None
 
 
 def test_exact_p_matches_enumeration_oracle():

@@ -5,11 +5,6 @@ import statistics
 import pytest
 
 from beliefminer.ingest import read_history, read_releases, write_history, write_releases
-from beliefminer.metrics import (
-    metric_b2_developers,
-    metric_churn,
-    metric_counts,
-)
 from beliefminer.stats import spearman
 from beliefminer.synthgen import (
     SUPPORTED_BELIEFS,
@@ -20,6 +15,8 @@ from beliefminer.synthgen import (
     parse_scenario_file,
 )
 from beliefminer.windowing import build_windows, count_post_defects
+
+from oracles import metric_b2_developers, metric_churn, metric_counts
 
 
 def _windows(records, releases, post_days):
