@@ -237,16 +237,17 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if not projects:
         print(f"error: no history.jsonl found under {cache_root}", file=sys.stderr)
         return 1
+    for _, project_dir in projects:
+        releases_path = project_dir / "releases.jsonl"
+        if not releases_path.exists():
+            print(f"error: missing releases cache: {releases_path}", file=sys.stderr)
+            return 1
     all_populations = []
     all_window_rows = []
     summary_rows = []
     for project_id, project_dir in projects:
         records = read_history(project_dir / "history.jsonl")
-        releases_path = project_dir / "releases.jsonl"
-        if not releases_path.exists():
-            print(f"error: missing releases cache: {releases_path}", file=sys.stderr)
-            return 1
-        releases = read_releases(releases_path)
+        releases = read_releases(project_dir / "releases.jsonl")
         assessment = assess_project(project_id, records, releases, cfg)
         qualified = sum(1 for row in assessment.window_rows if row.qualified)
         if qualified == 0:

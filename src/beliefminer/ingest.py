@@ -17,6 +17,7 @@ from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import DEFAULT_EXTENSIONS, SECONDS_PER_DAY
 from .labeling import KeywordSet, classify_message
@@ -55,8 +56,7 @@ class CacheError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class ChangeRecord:
+class ChangeRecord(NamedTuple):
     """One file touched by one commit."""
 
     commit_id: str
@@ -413,108 +413,135 @@ def apply_sanity_checks(summary: ProjectSummary) -> list[str]:
     return violations
 
 
-_HISTORY_KEYS = frozenset(
-    {
-        "commit_id",
-        "commit_time",
-        "author",
-        "file_path",
-        "insertions",
-        "deletions",
-        "is_bug_fix",
-    }
-)
+_HISTORY_KEYS = frozenset(ChangeRecord._fields)
 _RELEASE_KEYS = frozenset({"tag_name", "release_time", "ordinal"})
 
-# The C scanner behind json.loads: scan_once(line, 0) -> (value, end index),
-# StopIteration when no value starts at index 0.
-_scan_json = json.JSONDecoder().scan_once
-
+# The canonical history line: what write_history emits for a record whose
+# strings need no JSON escape.
+_HISTORY_LINE = (
+    '{"commit_id": "%s", "commit_time": %d, "author": "%s", "file_path": "%s", '
+    '"insertions": %d, "deletions": %d, "is_bug_fix": %s}\n'
+)
+# What the JSON encoder escapes: a quote, a backslash and every character
+# below U+0020 (as a regex character class body).
+_ESCAPED = r'"\\\x00-\x1f'
+_NEEDS_ESCAPE = re.compile(f"[{_ESCAPED}]")
+# The same line as a pattern. Its strings hold no character the encoder
+# escapes, so each group is the JSON value's own text and str()/int() of it
+# equal what json.loads gives. Integers have at most 18 digits: a longer
+# one takes json.loads, which reports one past int()'s digit limit.
+_CANONICAL_HISTORY_LINE = re.compile(
+    re.escape(_HISTORY_LINE[:-1])
+    .replace('"%s"', f'"([^{_ESCAPED}]*)"')
+    .replace("%d", "(-?(?:0|[1-9][0-9]{0,17}))")
+    .replace("%s", "(true|false)")
+    + "\n?"
+)
 
 # json.dumps(..., ensure_ascii=False) builds a fresh encoder per call.
 _encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_history(records: list[ChangeRecord], path: str | Path) -> None:
-    """Write change records as one JSON object per line, UTF-8, LF endings."""
+    """Write change records as one JSON object per line, UTF-8, LF endings.
+
+    A record of plain str, int and bool fields whose strings need no escape
+    is formatted into the canonical line; any other goes to the JSON
+    encoder. Both give the same bytes.
+    """
+    needs_escape = _NEEDS_ESCAPE.search
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
-            fh.write(
-                _encode_row(
-                    {
-                        "commit_id": record.commit_id,
-                        "commit_time": record.commit_time,
-                        "author": record.author,
-                        "file_path": record.file_path,
-                        "insertions": record.insertions,
-                        "deletions": record.deletions,
-                        "is_bug_fix": record.is_bug_fix,
-                    }
+            commit_id, commit_time, author, file_path, insertions, deletions, is_bug_fix = record
+            if (
+                type(commit_id) is type(author) is type(file_path) is str
+                and type(commit_time) is type(insertions) is type(deletions) is int
+                and type(is_bug_fix) is bool
+                and not (needs_escape(commit_id) or needs_escape(author) or needs_escape(file_path))
+            ):
+                flag = "true" if is_bug_fix else "false"
+                fh.write(
+                    _HISTORY_LINE
+                    % (commit_id, commit_time, author, file_path, insertions, deletions, flag)
                 )
-            )
-            fh.write("\n")
+            else:
+                fh.write(_encode_row(record._asdict()))
+                fh.write("\n")
 
 
-def _decode_lines(
-    path: str | Path, keys: frozenset[str], kind: str
-) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each non-blank line of a JSON-lines
-    cache whose keys are exactly `keys`.
-
-    A line that is one JSON object and a newline, as the writers produce,
-    is parsed by the C scanner alone. Any other line goes to json.loads,
-    which accepts what it accepts and otherwise raises the canonical error.
-    The first bad line raises CacheError, its JSON error before its keys.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                obj, end = _scan_json(line, 0)
-                whole = end == len(line) or line[end:] == "\n"
-            except (StopIteration, json.JSONDecodeError):
-                whole = False
-            if not whole:
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or obj.keys() != keys:
-                raise CacheError(path, line_no, f"unexpected {kind} record fields")
-            yield line_no, obj
+def _decode_line(
+    path: str | Path, line_no: int, line: str, keys: frozenset[str], kind: str
+) -> dict:
+    """Parse one non-blank cache line with json.loads; the value must be an
+    object whose keys are exactly `keys`. A JSON error comes before a key
+    error."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer longer than int() may convert
+        raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+    if not isinstance(obj, dict) or obj.keys() != keys:
+        raise CacheError(path, line_no, f"unexpected {kind} record fields")
+    return obj
 
 
 def read_history(path: str | Path) -> list[ChangeRecord]:
-    """Read a history cache; equal commit ids, authors and paths share one
-    string object."""
+    """Read a history cache line by line; equal commit ids, authors and
+    paths share one string object.
+
+    A canonical line is decoded by one pattern match. Any other non-blank
+    line goes to json.loads, which accepts what it accepts and otherwise
+    raises the canonical error. The first bad line raises CacheError.
+    """
     records: list[ChangeRecord] = []
     strings: dict[str, str] = {}
     share = strings.setdefault
-    for line_no, obj in _decode_lines(path, _HISTORY_KEYS, "history"):
-        try:
-            commit_id = str(obj["commit_id"])
-            commit_time = int(obj["commit_time"])
-            author = str(obj["author"])
-            file_path = str(obj["file_path"])
-            insertions = int(obj["insertions"])
-            deletions = int(obj["deletions"])
-            is_bug_fix = bool(obj["is_bug_fix"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-        if insertions < 0 or deletions < 0:
-            raise CacheError(path, line_no, "negative churn")
-        records.append(
-            ChangeRecord(
-                share(commit_id, commit_id),
-                commit_time,
-                share(author, author),
-                share(file_path, file_path),
-                insertions,
-                deletions,
-                is_bug_fix,
+    canonical = _CANONICAL_HISTORY_LINE.fullmatch
+    new_record = tuple.__new__
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            match = canonical(line)
+            if match is not None:
+                commit_id, commit_time, author, file_path, insertions, deletions, flag = (
+                    match.groups()
+                )
+                commit_time = int(commit_time)
+                insertions = int(insertions)
+                deletions = int(deletions)
+                is_bug_fix = flag == "true"
+            elif not line.strip():
+                continue
+            else:
+                obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
+                try:
+                    commit_id = str(obj["commit_id"])
+                    commit_time = int(obj["commit_time"])
+                    author = str(obj["author"])
+                    file_path = str(obj["file_path"])
+                    insertions = int(obj["insertions"])
+                    deletions = int(obj["deletions"])
+                    is_bug_fix = bool(obj["is_bug_fix"])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+            if insertions < 0 or deletions < 0:
+                raise CacheError(path, line_no, "negative churn")
+            # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
+            # calls; the seven values are the fields in order.
+            records.append(
+                new_record(
+                    ChangeRecord,
+                    (
+                        share(commit_id, commit_id),
+                        commit_time,
+                        share(author, author),
+                        share(file_path, file_path),
+                        insertions,
+                        deletions,
+                        is_bug_fix,
+                    ),
+                )
             )
-        )
     return records
 
 
@@ -539,17 +566,21 @@ def read_releases(path: str | Path) -> list[Release]:
     whose time is earlier than the line before."""
     releases: list[Release] = []
     line_nos: list[int] = []
-    for line_no, obj in _decode_lines(path, _RELEASE_KEYS, "release"):
-        try:
-            release = Release(
-                tag_name=str(obj["tag_name"]),
-                release_time=int(obj["release_time"]),
-                ordinal=int(obj["ordinal"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-        releases.append(release)
-        line_nos.append(line_no)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
+            try:
+                release = Release(
+                    tag_name=str(obj["tag_name"]),
+                    release_time=int(obj["release_time"]),
+                    ordinal=int(obj["ordinal"]),
+                )
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+            releases.append(release)
+            line_nos.append(line_no)
     for position, (release, line_no) in enumerate(zip(releases, line_nos), start=1):
         if release.ordinal != position:
             raise CacheError(path, line_no, "release ordinals are not 1..N in order")

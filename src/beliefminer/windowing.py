@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .config import DEFAULT_EXTENSIONS, DEFAULTS, SECONDS_PER_DAY
 from .ingest import ChangeRecord, Release, is_source_file
@@ -65,7 +66,7 @@ def build_windows(
     paths = {r.file_path for r in records}
     source_paths = {path for path in paths if is_source_file(path, extensions)}
     source = [r for r in records if r.file_path in source_paths]
-    source.sort(key=lambda r: (r.commit_time, r.commit_id, r.file_path))
+    source.sort(key=attrgetter("commit_time", "commit_id", "file_path"))
     times = [r.commit_time for r in source]
     last_time = max((r.commit_time for r in records), default=None)
 

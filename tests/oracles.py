@@ -9,8 +9,10 @@ former one-permutation-at-a-time enumeration, kept as the bit-exact
 reference for its vectorised replacement; classify_message_loop is the
 former stem-by-stem keyword matcher, kept the same way; read_history_loop
 is the former one-json.loads-per-line cache reader, the reference for the
-scanner-based one; the metric_* functions are the former one-walk-per-belief
-metrics, the reference for metrics.compute_all's single grouped pass;
+pattern-matching one, and write_history_json the former dict-per-record
+encoder, the byte-exact reference for the template writer; the metric_*
+functions are the former one-walk-per-belief metrics, the reference for
+metrics.compute_all's single grouped pass;
 rank_with_ties_loop and pearson_fsum are the former sweep ranks and fsum
 Pearson, the bit-exact reference for spearman's numpy ranks and centred
 sums.
@@ -239,6 +241,8 @@ def read_history_loop(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except ValueError as exc:  # an integer longer than int() may convert
+                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
             if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
                 raise CacheError(path, line_no, "unexpected history record fields")
             try:
@@ -257,6 +261,28 @@ def read_history_loop(path):
                 raise CacheError(path, line_no, "negative churn")
             records.append(record)
     return records
+
+
+def write_history_json(records, path):
+    """History cache writer: one dict per record through the JSON encoder,
+    UTF-8, LF endings."""
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for record in records:
+            fh.write(
+                encode(
+                    {
+                        "commit_id": record.commit_id,
+                        "commit_time": record.commit_time,
+                        "author": record.author,
+                        "file_path": record.file_path,
+                        "insertions": record.insertions,
+                        "deletions": record.deletions,
+                        "is_bug_fix": record.is_bug_fix,
+                    }
+                )
+            )
+            fh.write("\n")
 
 
 def _file_vector(

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import beliefminer
+from beliefminer import cli
 from beliefminer.cli import main
 
 from fixture_repo import build_two_commit_repo, delete_loose_object
@@ -260,6 +261,57 @@ def test_assess_infinite_field_is_a_data_error(tmp_path, data_dir, capsys, cache
     assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
     stderr = capsys.readouterr().err
     assert f"error: {path}:2: bad field value" in stderr
+
+
+@pytest.mark.parametrize(
+    "cache, field", [("history.jsonl", "insertions"), ("releases.jsonl", "release_time")]
+)
+def test_assess_huge_integer_is_a_data_error(tmp_path, data_dir, capsys, cache, field):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    path = caches / cache
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[1])
+    lines[1] = lines[1].replace(f'"{field}": {row[field]}', f'"{field}": {"1" * 5000}')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {path}:2: bad field value: Exceeds the limit" in stderr
+
+
+def test_assess_checks_every_releases_cache_first(tmp_path, data_dir, capsys, monkeypatch):
+    root = tmp_path / "projects"
+    _copy_fixture_caches(data_dir, root / "alpha")
+    _copy_fixture_caches(data_dir, root / "beta")
+    (root / "beta" / "releases.jsonl").unlink()
+    calls = []
+    read_history = cli.read_history
+    monkeypatch.setattr(cli, "read_history", lambda path: calls.append(path) or read_history(path))
+    assert main(["assess", str(root), "--out", str(tmp_path / "o")]) == 1
+    assert calls == []
+    stderr = capsys.readouterr().err
+    assert f"error: missing releases cache: {root / 'beta' / 'releases.jsonl'}" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_assess_compact_cache_matches_canonical(tmp_path, data_dir):
+    canonical = tmp_path / "canonical" / "fixture"
+    _copy_fixture_caches(data_dir, canonical)
+    compact = tmp_path / "compact" / "fixture"
+    _copy_fixture_caches(data_dir, compact)
+    history = compact / "history.jsonl"
+    lines = history.read_text(encoding="utf-8").splitlines()
+    text = "".join(
+        json.dumps(json.loads(line), ensure_ascii=False, separators=(",", ":")) + "\n"
+        for line in lines
+    )
+    assert '": ' not in text  # no line has the canonical form
+    history.write_text(text, encoding="utf-8")
+    for caches in (canonical, compact):
+        assert main(["assess", str(caches), "--out", str(caches.parent / "out")]) == 0
+    for name in ("populations.csv", "windows.csv", "exclusions.csv", "summary.csv"):
+        expected = (tmp_path / "canonical" / "out" / name).read_bytes()
+        assert (tmp_path / "compact" / "out" / name).read_bytes() == expected, name
 
 
 # --- report --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import random
 import signal
 import subprocess
 
@@ -41,7 +42,7 @@ from fixture_repo import (
     build_undecodable_paths_repo,
     delete_loose_object,
 )
-from oracles import read_history_loop
+from oracles import read_history_loop, write_history_json
 
 
 def test_mine_first_parent_counts(fixture_repo):
@@ -309,6 +310,18 @@ def test_mine_empty_repo(tmp_path):
 def test_change_record_and_release_are_value_types():
     rec = ChangeRecord("c" * 40, 1, "a@b", "x.py", 1, 2, True)
     assert rec == ChangeRecord("c" * 40, 1, "a@b", "x.py", 1, 2, True)
+    assert rec == ChangeRecord(
+        commit_id="c" * 40,
+        commit_time=1,
+        author="a@b",
+        file_path="x.py",
+        insertions=1,
+        deletions=2,
+        is_bug_fix=True,
+    )
+    assert hash(rec) == hash(ChangeRecord("c" * 40, 1, "a@b", "x.py", 1, 2, True))
+    with pytest.raises(AttributeError):
+        rec.insertions = 5
     rel = Release("v1", 10, 1)
     assert rel == Release("v1", 10, 1)
 
@@ -454,6 +467,16 @@ _ODD_PATH_ROWS = [
 ]
 
 
+def _unescaped(line):
+    """The same row with every character the JSON encoder need not escape
+    written as itself."""
+    return json.dumps(json.loads(line), ensure_ascii=False)
+
+
+# More digits than int() converts from text by default.
+_HUGE = "9" * 5000
+
+
 def _cache_bytes(lines, end="\n"):
     return end.join(lines).encode("utf-8") + end.encode()
 
@@ -463,9 +486,7 @@ def _cache_bytes(lines, end="\n"):
 # or the same error at the same line for the same reason.
 _READER_CASES = {
     "odd-and-non-ascii-paths": _cache_bytes(_ODD_PATH_ROWS),
-    "odd-paths-unescaped": "\n".join(
-        json.dumps(json.loads(line), ensure_ascii=False) for line in _ODD_PATH_ROWS
-    ).encode("utf-8") + b"\n",
+    "odd-paths-unescaped": _cache_bytes([_unescaped(line) for line in _ODD_PATH_ROWS]),
     "empty-file": b"",
     "bom": b"\xef\xbb\xbf" + _cache_bytes([_GOOD]),
     "leading-spaces": _cache_bytes([_GOOD, "   " + _GOOD, "\t" + _GOOD]),
@@ -502,6 +523,31 @@ _READER_CASES = {
         ["", _GOOD, "   ", "\t", "\x0c", " ", " ", _row(commit_time=200), ""]
     ),
     "invalid-utf8": _cache_bytes([_GOOD]) + b'{"commit_id": "\xff"}\n',
+    # The edge of the one-pattern path: a string with an escape, an integer
+    # of 19 digits or any other spelling must take json.loads and agree.
+    **{
+        f"escaped-{name}-in-{field}": _cache_bytes([_GOOD, _row(**{field: f"a{char}b"})])
+        for name, char in [("quote", '"'), ("backslash", "\\"), ("newline", "\n"), ("nul", "\0")]
+        for field in ("commit_id", "author", "file_path")
+    },
+    "raw-del": _cache_bytes([_unescaped(_row(file_path="src/\x7f.py"))]),
+    "raw-e-acute": _cache_bytes([_unescaped(_row(author="é@b", file_path="src/é.py"))]),
+    "raw-non-bmp": _cache_bytes([_unescaped(_row(commit_id="\U0001f600" * 40))]),
+    "count-18-digits": _cache_bytes([_row(insertions=10**18 - 1, deletions=10**17)]),
+    "count-19-digits": _cache_bytes([_GOOD, _row(insertions=10**18, deletions=2**63)]),
+    "time-19-digits": _cache_bytes([_row(commit_time=-(10**18))]),
+    "minus-zero-count": _cache_bytes([_GOOD.replace('"deletions": 2', '"deletions": -0')]),
+    "negative-time": _cache_bytes([_row(commit_time=-86400), _GOOD]),
+    "leading-zero-count": _cache_bytes([_GOOD, _GOOD.replace('"deletions": 2', '"deletions": 02')]),
+    "float-count": _cache_bytes([_row(insertions=1.0)]),
+    "exponent-count": _cache_bytes([_GOOD.replace('"deletions": 2', '"deletions": 1e3')]),
+    "python-true": _cache_bytes([_GOOD, _GOOD.replace("true", "True")]),
+    "reordered-keys": _cache_bytes([json.dumps(dict(reversed(json.loads(_GOOD).items())))]),
+    "no-space-after-colon": _cache_bytes([_GOOD, _GOOD.replace('": 1', '":1')]),
+    "compact-separators": _cache_bytes([json.dumps(json.loads(_GOOD), separators=(",", ":"))]),
+    "crlf-escaped": _cache_bytes([_GOOD, _row(author='a"b')], end="\r\n"),
+    "no-final-newline-escaped": _cache_bytes([_GOOD, _row(file_path="a\\b.py")])[:-1],
+    "huge-integer": _cache_bytes([_GOOD, _GOOD.replace('"insertions": 1', f'"insertions": {_HUGE}')]),
 }
 
 
@@ -532,6 +578,95 @@ def test_read_history_infinite_field_is_cache_error(tmp_path, field, value):
     assert excinfo.value.reason.startswith("bad field value")
 
 
+@pytest.mark.parametrize("field", ["commit_time", "insertions", "deletions"])
+def test_read_history_huge_integer_is_cache_error(tmp_path, field):
+    path = tmp_path / "history.jsonl"
+    line = _row(**{field: 7}).replace(f'"{field}": 7', f'"{field}": {_HUGE}')
+    path.write_bytes(_cache_bytes([_GOOD, line]))
+    with pytest.raises(CacheError) as excinfo:
+        read_history(path)
+    assert excinfo.value.line_no == 2
+    assert excinfo.value.reason.startswith("bad field value: Exceeds the limit")
+
+
+# Every character the JSON encoder escapes, then some it writes as they are.
+_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
+_WRITER_SPECIALS = [*_ESCAPED, "\x7f", "\u2028", "é", "\U0001f600", " => "]
+_WRITER_INTS = [0, 1, 10**17, 10**18, 2**63]
+
+
+def _random_string(rng):
+    plain = rng.random() < 0.6
+    return "".join(
+        rng.choice("abz/._-") if plain or rng.random() < 0.5 else rng.choice(_WRITER_SPECIALS)
+        for _ in range(rng.randrange(0, 8))
+    )
+
+
+def _random_count(rng):
+    return rng.choice(_WRITER_INTS) if rng.random() < 0.3 else rng.randrange(0, 500)
+
+
+def test_write_history_equals_json_writer(tmp_path):
+    rng = random.Random(20240607)
+    records = [
+        ChangeRecord(
+            commit_id=_random_string(rng),
+            commit_time=(
+                rng.choice([-1, -(2**40), -(10**18)]) if rng.random() < 0.2 else _random_count(rng)
+            ),
+            author=_random_string(rng),
+            file_path=_random_string(rng),
+            insertions=_random_count(rng),
+            deletions=_random_count(rng),
+            is_bug_fix=rng.random() < 0.5,
+        )
+        for _ in range(2500)
+    ]
+    path = tmp_path / "history.jsonl"
+    reference = tmp_path / "reference.jsonl"
+    write_history(records, path)
+    write_history_json(records, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    read = read_history(path)
+    assert read == records
+    assert [tuple(map(type, r)) for r in read] == [tuple(map(type, r)) for r in records]
+    # A line is canonical exactly when its strings need no escape and its
+    # integers have at most 18 digits; both kinds must be well represented.
+    lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    canonical = [ingest._CANONICAL_HISTORY_LINE.fullmatch(line) is not None for line in lines]
+    expected = [
+        not any(c in _ESCAPED for c in r.commit_id + r.author + r.file_path)
+        and all(abs(n) < 10**18 for n in (r.commit_time, r.insertions, r.deletions))
+        for r in records
+    ]
+    assert canonical == expected
+    assert 0.2 < sum(canonical) / len(canonical) < 0.8
+
+
+class _Text(str):
+    def __str__(self):
+        return "not the encoded text"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        ChangeRecord("c", True, "a", "x.py", 1, 2, False),
+        ChangeRecord("c", 1, "a", "x.py", False, 2, True),
+        ChangeRecord("c", 1, "a", "x.py", 1, 2.0, True),
+        ChangeRecord("c", 1, "a", "x.py", 1, 2, 1),
+        ChangeRecord("c", 1, "a", "x.py", 1, 2, None),
+        ChangeRecord(_Text("c"), 1, "a", "x.py", 1, 2, True),
+    ],
+    ids=["bool-time", "bool-count", "float-count", "int-flag", "none-flag", "str-subclass"],
+)
+def test_write_history_other_field_types_equal_json_writer(tmp_path, record):
+    write_history([record], tmp_path / "history.jsonl")
+    write_history_json([record], tmp_path / "reference.jsonl")
+    assert (tmp_path / "history.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
 def test_read_history_equals_loop_reference_on_fixture_cache(data_dir):
     path = data_dir / "fixture_history.jsonl"
     records = read_history(path)
@@ -554,6 +689,11 @@ def test_read_history_shares_equal_strings(data_dir):
         ("{oops", "invalid JSON: Expecting property name enclosed in double quotes"),
         ('{"tag_name": "v1", "release_time": 1}', "unexpected release record fields"),
         ('{"tag_name": "v1", "release_time": "x", "ordinal": 1}', "bad field value"),
+        pytest.param(
+            f'{{"tag_name": "v2", "release_time": {_HUGE}, "ordinal": 2}}',
+            "bad field value: Exceeds the limit",
+            id="huge-integer",
+        ),
     ],
 )
 def test_read_releases_reports_first_bad_line(tmp_path, line, reason):
