@@ -60,12 +60,7 @@ class BeliefPopulation:
     belief_id: str
     project_id: str
     scores: list[SupportScore]
-    releases_total: int
     exclusions: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def releases_used(self) -> int:
-        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -116,14 +111,12 @@ class ProjectAssessment:
     project_id: str
     populations: dict[str, BeliefPopulation]
     window_rows: list[WindowRow]
-    releases_total: int
 
 
 def belief_population(
     project_id: str,
     belief_id: str,
     scored_windows: list[tuple[ReleaseWindow, BeliefVector]],
-    releases_total: int,
     alpha: float = DEFAULTS.alpha,
     min_n: int = DEFAULTS.min_observations,
 ) -> BeliefPopulation:
@@ -160,7 +153,6 @@ def belief_population(
         belief_id=belief_id,
         project_id=project_id,
         scores=scores,
-        releases_total=releases_total,
         exclusions=exclusions,
     )
 
@@ -177,15 +169,11 @@ def assess_project(
     )
     # Each window's defect count reads only its own files' bug fixes inside
     # its post horizon (pre_end, post_end], found by bisection on each
-    # file's sorted fix times.
-    fixes_by_file: dict[str, list[ChangeRecord]] = defaultdict(list)
-    for record in records:
-        if record.is_bug_fix:
-            fixes_by_file[record.file_path].append(record)
-    fix_index: dict[str, tuple[list[int], list[ChangeRecord]]] = {}
-    for path, fixes in fixes_by_file.items():
-        fixes.sort(key=attrgetter("commit_time"))
-        fix_index[path] = ([r.commit_time for r in fixes], fixes)
+    # file's fixes in time order.
+    fix_time = attrgetter("commit_time")
+    fix_index: dict[str, list[ChangeRecord]] = defaultdict(list)
+    for record in sorted((r for r in records if r.is_bug_fix), key=fix_time):
+        fix_index[record.file_path].append(record)
     window_rows: list[WindowRow] = []
     per_belief: dict[str, list[tuple[ReleaseWindow, BeliefVector]]] = {
         belief: [] for belief in BELIEF_IDS
@@ -205,13 +193,12 @@ def assess_project(
         if not qualified:
             continue
         horizon: list[ChangeRecord] = []
-        for path in {r.file_path for r in window.pre_records}:
-            entry = fix_index.get(path)
-            if entry is not None:
-                times, fixes = entry
-                horizon += fixes[
-                    bisect_right(times, window.pre_end) : bisect_right(times, window.post_end)
-                ]
+        for path in window.files:
+            fixes = fix_index.get(path)
+            if fixes:
+                lo = bisect_right(fixes, window.pre_end, key=fix_time)
+                hi = bisect_right(fixes, window.post_end, key=fix_time)
+                horizon += fixes[lo:hi]
         defects = count_post_defects(window, horizon)
         for vector in compute_all(window, defects, cfg):
             per_belief[vector.belief_id].append((window, vector))
@@ -221,7 +208,6 @@ def assess_project(
                 project_id,
                 belief,
                 per_belief[belief],
-                releases_total=len(releases),
                 alpha=cfg.alpha,
                 min_n=cfg.min_observations,
             )
@@ -231,7 +217,6 @@ def assess_project(
         project_id=project_id,
         populations=populations,
         window_rows=window_rows,
-        releases_total=len(releases),
     )
 
 
@@ -285,6 +270,27 @@ def prevalence(
     return 100.0 * reached / len(pooled)
 
 
+def _rank_pooled(
+    pooled: dict[str, list[float]],
+    labels: Iterable[str],
+    empty_warning: str,
+    seed: int,
+    iterations: int,
+    a12_threshold: float,
+) -> list[RankedGroup]:
+    """Scott-Knott over the pooled scores of `labels`, in that order; a
+    label with no scores is dropped with `empty_warning` (one %s, the label)."""
+    treatments: list[Treatment] = []
+    for label in labels:
+        if pooled.get(label):
+            treatments.append(Treatment(label, pooled[label]))
+        else:
+            logger.warning(empty_warning, label)
+    if not treatments:
+        return []
+    return scott_knott(treatments, seed=seed, iterations=iterations, a12_threshold=a12_threshold)
+
+
 def rank_beliefs(
     populations: list[BeliefPopulation],
     seed: int = DEFAULTS.seed,
@@ -296,16 +302,8 @@ def rank_beliefs(
     pooled: dict[str, list[float]] = defaultdict(list)
     for population in populations:
         pooled[population.belief_id].extend(abs(s.rho) for s in population.scores)
-    treatments: list[Treatment] = []
-    for belief in BELIEF_IDS:
-        values = pooled.get(belief)
-        if not values:
-            logger.warning("belief %s has no significant scores; not ranked", belief)
-            continue
-        treatments.append(Treatment(belief, values))
-    if not treatments:
-        return []
-    return scott_knott(treatments, seed=seed, iterations=iterations, a12_threshold=a12_threshold)
+    warning = "belief %s has no significant scores; not ranked"
+    return _rank_pooled(pooled, BELIEF_IDS, warning, seed, iterations, a12_threshold)
 
 
 def size_thresholds(
@@ -369,18 +367,9 @@ def rank_beliefs_by_size(
             if prefix is None:
                 continue
             pooled[f"{prefix}_{population.belief_id}"].append(abs(score.rho))
-    treatments: list[Treatment] = []
-    for belief in BELIEF_IDS:
-        for bucket in (BUCKET_SMALL, BUCKET_MEDIUM, BUCKET_LARGE):
-            label = f"{_BUCKET_PREFIX[bucket]}_{belief}"
-            values = pooled.get(label)
-            if not values:
-                logger.warning("treatment %s has no scores; not ranked", label)
-                continue
-            treatments.append(Treatment(label, values))
-    if not treatments:
-        return []
-    return scott_knott(treatments, seed=seed, iterations=iterations, a12_threshold=a12_threshold)
+    labels = [f"{prefix}_{belief}" for belief in BELIEF_IDS for prefix in _BUCKET_PREFIX.values()]
+    warning = "treatment %s has no scores; not ranked"
+    return _rank_pooled(pooled, labels, warning, seed, iterations, a12_threshold)
 
 
 def growth_decay(
@@ -469,9 +458,7 @@ def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> No
     )
 
 
-def read_populations_csv(
-    path: Path, releases_total: dict[str, int]
-) -> list[BeliefPopulation]:
+def read_populations_csv(path: Path) -> list[BeliefPopulation]:
     """Rebuild populations from populations.csv; exclusion counts are not
     round-tripped (they live in exclusions.csv)."""
     grouped: dict[tuple[str, str], list[SupportScore]] = defaultdict(list)
@@ -494,7 +481,6 @@ def read_populations_csv(
                 belief_id=belief_id,
                 project_id=project_id,
                 scores=sorted(scores, key=lambda s: s.release_ordinal or 0),
-                releases_total=releases_total.get(project_id, 0),
             )
         )
     return populations

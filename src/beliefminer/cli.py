@@ -189,11 +189,16 @@ def _project_summary(
     """Per-project totals from the mining-time summary.json; when it is
     absent (e.g. synthetic caches), from ingest.summarize over counts
     recomputed from the cached records, in which commits that touched no
-    files are invisible."""
+    files are invisible. A malformed summary.json raises CacheError."""
     summary_json = project_dir / "summary.json"
     if summary_json.exists():
         with open(summary_json, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CacheError(summary_json, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise CacheError(summary_json, 1, f"invalid JSON: {exc}") from exc
     else:
         times = [r.commit_time for r in records]
         tally = MiningResult(
@@ -206,14 +211,19 @@ def _project_summary(
             skipped_lines=0,
         )
         payload = dataclasses.asdict(summarize(tally, releases))
-    return SummaryRow(
-        project_id=project_id,
-        commits=int(payload["commits"]),
-        bug_fix_fraction=float(payload["bug_fix_fraction"]),
-        releases=int(payload.get("releases", len(releases))),
-        developers=int(payload["developers"]),
-        active_years=float(payload["active_years"]),
-    )
+    try:
+        return SummaryRow(
+            project_id=project_id,
+            commits=int(payload["commits"]),
+            bug_fix_fraction=float(payload["bug_fix_fraction"]),
+            releases=int(payload.get("releases", len(releases))),
+            developers=int(payload["developers"]),
+            active_years=float(payload["active_years"]),
+        )
+    except KeyError as exc:
+        raise CacheError(summary_json, 1, f"missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CacheError(summary_json, 1, f"bad field value: {exc}") from exc
 
 
 def _discover_projects(cache_root: Path) -> list[tuple[str, Path]]:

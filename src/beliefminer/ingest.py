@@ -479,6 +479,8 @@ def _decode_line(
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder's stack
+        raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer longer than int() may convert
         raise CacheError(path, line_no, f"bad field value: {exc}") from exc
     if not isinstance(obj, dict) or obj.keys() != keys:

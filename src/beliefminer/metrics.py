@@ -103,7 +103,7 @@ def compute_all(
 
     One walk over the pre-period records groups them by file and sums B5's
     per-commit totals; every vector is read from that. Entities are the
-    pre-period files, sorted, and the file-level vectors share one id list
+    window's files (window.files), and the file-level vectors share one id list
     and one defect list; B5's entities are commits, and B6 keeps only files
     with a pre-period bug fix.
 
@@ -119,20 +119,17 @@ def compute_all(
     - B10: percentage of the file's contributors whose churn share is below
       5%; a file whose churn is all zero scores 0.
     """
-    records = window.pre_records
-    if not records:
-        return [BeliefVector(belief, [], [], []) for belief in BELIEF_IDS]
     defect_of = defects.per_file.get
-    by_file: dict[str, list[ChangeRecord]] = defaultdict(list)
+    ids = list(window.files)
+    by_file: dict[str, list[ChangeRecord]] = {path: [] for path in ids}
     commit_churn: dict[str, int] = defaultdict(int)
     commit_defects: dict[str, int] = defaultdict(int)
-    for record in records:
+    for record in window.pre_records:
         path = record.file_path
         by_file[path].append(record)
         commit = record.commit_id
         commit_churn[commit] += record.insertions + record.deletions
         commit_defects[commit] += defect_of(path, 0)
-    ids = sorted(by_file)
     y = [defect_of(path, 0) for path in ids]
 
     hcm = _hcm(window, cfg)

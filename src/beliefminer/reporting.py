@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
+    _POPULATION_COLUMNS,
     BeliefPopulation,
     SizeThresholds,
     SummaryRow,
@@ -319,12 +320,7 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
     summary_path = assess_path / "summary.csv"
     window_rows = read_windows_csv(windows_path) if windows_path.exists() else []
     summaries = read_summary_csv(summary_path) if summary_path.exists() else []
-    releases_total = {s.project_id: s.releases for s in summaries}
-    populations = (
-        read_populations_csv(populations_path, releases_total)
-        if populations_path.exists()
-        else []
-    )
+    populations = read_populations_csv(populations_path) if populations_path.exists() else []
 
     project_ids = sorted(
         {s.project_id for s in summaries}
@@ -476,8 +472,4 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     if populations_csv is not None and populations_csv.exists():
         shutil.copyfile(populations_csv, out_path / "populations.csv")
     else:
-        write_csv(
-            out_path / "populations.csv",
-            ("project", "belief", "release_ordinal", "rho", "p", "n"),
-            [],
-        )
+        write_csv(out_path / "populations.csv", _POPULATION_COLUMNS, [])

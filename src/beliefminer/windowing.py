@@ -21,15 +21,26 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ReleaseWindow:
-    """Pre-release change slice for one release."""
+    """Pre-release change slice for one release.
+
+    `files` holds the distinct paths of `pre_records`, sorted; it is derived
+    here once and every reader of a window's file set reads it.
+    """
 
     release: Release
     pre_start: int  # exclusive
     pre_end: int  # inclusive; equals the release time
     post_end: int  # inclusive end of the defect horizon
     pre_records: list[ChangeRecord] = field(default_factory=list)
-    distinct_files: int = 0
     right_censored: bool = False
+    files: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.files = tuple(sorted({r.file_path for r in self.pre_records}))
+
+    @property
+    def distinct_files(self) -> int:
+        return len(self.files)
 
 
 @dataclass
@@ -92,7 +103,6 @@ def build_windows(
                 pre_end=pre_end,
                 post_end=post_end,
                 pre_records=pre,
-                distinct_files=len({r.file_path for r in pre}),
                 right_censored=last_time is None or post_end > last_time,
             )
         )
@@ -107,9 +117,7 @@ def count_post_defects(
     Files absent from the pre period are ignored even if fixed later; files
     never fixed get an explicit zero.
     """
-    counts: dict[str, int] = {
-        path: 0 for path in sorted({r.file_path for r in window.pre_records})
-    }
+    counts = dict.fromkeys(window.files, 0)
     if not counts:
         return DefectCounts(per_file=counts)
     for record in records:

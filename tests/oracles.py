@@ -241,6 +241,8 @@ def read_history_loop(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            except RecursionError as exc:  # nested deeper than the decoder's stack
+                raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
             except ValueError as exc:  # an integer longer than int() may convert
                 raise CacheError(path, line_no, f"bad field value: {exc}") from exc
             if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:

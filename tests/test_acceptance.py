@@ -246,7 +246,6 @@ def _entropy_window(records: list[ChangeRecord], pre_start: int, pre_end: int) -
         pre_end=pre_end,
         post_end=pre_end + 182 * _DAY,
         pre_records=records,
-        distinct_files=len({r.file_path for r in records}),
         right_censored=False,
     )
 

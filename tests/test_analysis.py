@@ -52,7 +52,6 @@ def _scored_window(ordinal, x, y, belief="B3"):
         pre_end=ordinal * 1000,
         post_end=ordinal * 1000 + 50,
         pre_records=[],
-        distinct_files=len(x),
     )
     ids = [f"f{i}" for i in range(len(x))]
     return window, BeliefVector(belief, ids, [float(v) for v in x], list(y))
@@ -62,8 +61,8 @@ def _score(rho, p=0.001, n=6, belief="B3", ordinal=2):
     return SupportScore(rho, p, n, belief, ordinal)
 
 
-def _population(scores, belief="B3", project="proj", total=10):
-    return BeliefPopulation(belief, project, list(scores), total)
+def _population(scores, belief="B3", project="proj"):
+    return BeliefPopulation(belief, project, list(scores))
 
 
 # --- belief_population --------------------------------------------------------
@@ -72,8 +71,8 @@ def _population(scores, belief="B3", project="proj", total=10):
 def test_population_keeps_significant_scores():
     # six distinct monotone pairs: exact p = 2/6! < 0.01
     wv = _scored_window(2, range(6), range(6))
-    population = belief_population("proj", "B3", [wv], releases_total=8)
-    assert population.releases_used == 1
+    population = belief_population("proj", "B3", [wv])
+    assert len(population.scores) == 1
     score = population.scores[0]
     assert score.rho == pytest.approx(1.0)
     assert score.p_value == pytest.approx(2 / math.factorial(6))
@@ -85,14 +84,14 @@ def test_population_keeps_significant_scores():
 def test_population_drops_insignificant_scores():
     # five distinct monotone pairs: exact p = 2/5! ~ 0.017 >= 0.01
     wv = _scored_window(2, range(5), range(5))
-    population = belief_population("proj", "B3", [wv], releases_total=8)
+    population = belief_population("proj", "B3", [wv])
     assert population.scores == []
     assert population.exclusions[EXCLUDE_NOT_SIGNIFICANT] == 1
 
 
 def test_population_drops_small_windows_before_correlating():
     wv = _scored_window(2, range(3), range(3))
-    population = belief_population("proj", "B3", [wv], releases_total=8)
+    population = belief_population("proj", "B3", [wv])
     assert population.scores == []
     assert population.exclusions[EXCLUDE_TOO_FEW] == 1
     assert population.exclusions[EXCLUDE_NOT_SIGNIFICANT] == 0
@@ -100,29 +99,28 @@ def test_population_drops_small_windows_before_correlating():
 
 def test_population_alpha_and_min_n_are_tunable():
     five = _scored_window(2, range(5), range(5))
-    relaxed = belief_population("proj", "B3", [five], 8, alpha=0.05)
-    assert relaxed.releases_used == 1
+    relaxed = belief_population("proj", "B3", [five], alpha=0.05)
+    assert len(relaxed.scores) == 1
     three = _scored_window(3, range(3), range(3))
-    small_ok = belief_population("proj", "B3", [three], 8, alpha=0.5, min_n=2)
-    assert small_ok.releases_used == 1
+    small_ok = belief_population("proj", "B3", [three], alpha=0.5, min_n=2)
+    assert len(small_ok.scores) == 1
 
 
 def test_population_rejects_mismatched_vector():
     wv = _scored_window(2, range(6), range(6), belief="B4")
     with pytest.raises(ValueError):
-        belief_population("proj", "B3", [wv], releases_total=8)
+        belief_population("proj", "B3", [wv])
 
 
 def test_population_rejects_bad_min_n():
     with pytest.raises(ValueError):
-        belief_population("proj", "B3", [], 8, min_n=1)
+        belief_population("proj", "B3", [], min_n=1)
 
 
 def test_assess_project_matches_fixture_goldens(fixture_repo, data_dir):
     records = mine_repository(fixture_repo).records
     releases = extract_releases(fixture_repo)
     assessment = assess_project("fixture", records, releases)
-    assert assessment.releases_total == 5
     assert assessment.window_rows == read_windows_csv(
         data_dir / "fixture_assess" / "windows.csv"
     )
@@ -497,15 +495,13 @@ def test_populations_csv_round_trip(tmp_path):
             [_score(0.5234567890123456, p=0.0012345, ordinal=2), _score(-0.75, ordinal=5)],
             belief="B3",
             project="p1",
-            total=7,
         ),
-        _population([_score(0.9, ordinal=3, belief="B1")], belief="B1", project="p0", total=4),
+        _population([_score(0.9, ordinal=3, belief="B1")], belief="B1", project="p0"),
     ]
     path = tmp_path / "populations.csv"
     write_populations_csv(populations, path)
-    loaded = read_populations_csv(path, {"p0": 4, "p1": 7})
+    loaded = read_populations_csv(path)
     assert [(p.project_id, p.belief_id) for p in loaded] == [("p0", "B1"), ("p1", "B3")]
-    assert loaded[0].releases_total == 4
     original = {(p.project_id, p.belief_id): p.scores for p in populations}
     for population in loaded:
         key = (population.project_id, population.belief_id)

@@ -279,6 +279,36 @@ def test_assess_huge_integer_is_a_data_error(tmp_path, data_dir, capsys, cache, 
     assert f"error: {path}:2: bad field value: Exceeds the limit" in stderr
 
 
+@pytest.mark.parametrize("cache", ["history.jsonl", "releases.jsonl"])
+def test_assess_deeply_nested_line_is_a_data_error(tmp_path, data_dir, capsys, cache):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    path = caches / cache
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + ["[" * 100_000]) + "\n", encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {path}:{len(lines) + 1}: invalid JSON: maximum recursion depth" in stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        pytest.param('{"commits": 3', "1: invalid JSON: Expecting ','", id="truncated"),
+        pytest.param('{"commits": 3}', "1: missing field 'bug_fix_fraction'", id="missing-field"),
+    ],
+)
+def test_assess_malformed_summary_is_a_data_error(tmp_path, data_dir, capsys, text, reason):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    (caches / "summary.json").write_text(text, encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {caches / 'summary.json'}:{reason}" in stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_assess_checks_every_releases_cache_first(tmp_path, data_dir, capsys, monkeypatch):
     root = tmp_path / "projects"
     _copy_fixture_caches(data_dir, root / "alpha")

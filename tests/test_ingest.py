@@ -475,6 +475,8 @@ def _unescaped(line):
 
 # More digits than int() converts from text by default.
 _HUGE = "9" * 5000
+# Nested deeper than the JSON decoder's recursion limit.
+_DEEP = "[" * 100_000
 
 
 def _cache_bytes(lines, end="\n"):
@@ -548,6 +550,7 @@ _READER_CASES = {
     "crlf-escaped": _cache_bytes([_GOOD, _row(author='a"b')], end="\r\n"),
     "no-final-newline-escaped": _cache_bytes([_GOOD, _row(file_path="a\\b.py")])[:-1],
     "huge-integer": _cache_bytes([_GOOD, _GOOD.replace('"insertions": 1', f'"insertions": {_HUGE}')]),
+    "deep-nesting": _cache_bytes([_GOOD, _DEEP]),
 }
 
 
@@ -694,6 +697,7 @@ def test_read_history_shares_equal_strings(data_dir):
             "bad field value: Exceeds the limit",
             id="huge-integer",
         ),
+        pytest.param(_DEEP, "invalid JSON: maximum recursion depth exceeded", id="deep-nesting"),
     ],
 )
 def test_read_releases_reports_first_bad_line(tmp_path, line, reason):

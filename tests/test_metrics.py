@@ -173,7 +173,6 @@ def _window(records, pre_start, pre_end, defects=None):
         pre_end=pre_end,
         post_end=pre_end + 182 * DAY,
         pre_records=records,
-        distinct_files=len({r.file_path for r in records}),
     )
     if defects is None:
         defects = {path: 0 for path in {r.file_path for r in records}}
@@ -436,7 +435,6 @@ def _random_window(rng):
         pre_end=pre_start + span,
         post_end=pre_start + span + 182 * DAY,
         pre_records=records,
-        distinct_files=len({r.file_path for r in records}),
     )
     touched = sorted({r.file_path for r in records})
     defects = DefectCounts(per_file={path: rng.choice([0, 0, 1, 3]) for path in touched})

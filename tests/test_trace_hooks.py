@@ -1,6 +1,8 @@
 """The benchmark's tracer (bench/tracing.py) wraps the package's layer
 boundaries by attribute name; this checks that every boundary it wraps
-still exists and still runs in a real mine -> assess -> report pipeline."""
+still exists and still runs: `mine` on the fixture repository, then
+synth -> assess -> report on a small scenario. A refactor that bypasses a
+wrapped lookup would otherwise zero a per-layer metric without notice."""
 
 from __future__ import annotations
 
@@ -20,22 +22,32 @@ bench, repo, work = sys.argv[1:4]
 sys.path.insert(0, bench)
 from tracing import Tracer, install
 from beliefminer import cli
-tracer = Tracer()
+wrapped = []
+class Recording(Tracer):
+    def wrap(self, owner, attr, name, hook=None):
+        wrapped.append(name)
+        super().wrap(owner, attr, name, hook)
+tracer = Recording()
 install(tracer)
 codes = [
     cli.main(["mine", repo, "--out", work + "/cache", "--force"]),
-    cli.main(["assess", work + "/cache", "--out", work + "/assess"]),
+    cli.main(["synth", work + "/scenario.txt", "--out", work + "/synth"]),
+    cli.main(["assess", work + "/synth", "--out", work + "/assess"]),
     cli.main(["report", work + "/assess", "--out", work + "/report"]),
 ]
 print(json.dumps({
     "codes": codes,
     "resolve_config": callable(getattr(cli, "_resolve_config", None)),
+    "wrapped": sorted(set(wrapped)),
     "spans": sorted({span[1] for span in tracer.spans}),
 }))
 """
 
 
 def test_tracer_hooks_cover_the_pipeline(tmp_path, fixture_repo):
+    (tmp_path / "scenario.txt").write_text(
+        "releases = 12\nfiles_per_release = 6, 40\nplanted_belief = B3\n", encoding="utf-8"
+    )
     path = [str(_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run(
@@ -46,14 +58,7 @@ def test_tracer_hooks_cover_the_pipeline(tmp_path, fixture_repo):
         env=env,
     )
     outcome = json.loads(result.stdout.strip().splitlines()[-1])
-    assert outcome["codes"] == [0, 0, 0], result.stderr
+    assert outcome["codes"] == [0, 0, 0, 0], result.stderr
     assert outcome["resolve_config"]
-    for name in (
-        "ingest.mine_repository",
-        "ingest.read_history",
-        "analysis.assess_project",
-        "analysis.belief_population",
-        "reporting.build_report",
-        "reporting.render",
-    ):
-        assert name in outcome["spans"]
+    assert len(outcome["wrapped"]) == 22
+    assert sorted(set(outcome["wrapped"]) - set(outcome["spans"])) == []
