@@ -13,13 +13,14 @@ import logging
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import DEFAULTS, Config
-from .ingest import ChangeRecord, Release
+from .ingest import CacheError, ChangeRecord, Release, invalid_utf8
 from .metrics import BELIEF_IDS, BeliefVector, compute_all
 from .stats import (
     RankedGroup,
@@ -82,9 +83,8 @@ class TrendResult:
     p_time: float | None
 
 
-@dataclass(frozen=True)
-class WindowRow:
-    """Flat per-window facts retained for reporting."""
+class WindowRow(NamedTuple):
+    """Flat per-window facts retained for reporting; a windows.csv row."""
 
     project_id: str
     release_ordinal: int
@@ -94,9 +94,8 @@ class WindowRow:
     qualified: bool
 
 
-@dataclass(frozen=True)
-class SummaryRow:
-    """Flat per-project totals retained for reporting."""
+class SummaryRow(NamedTuple):
+    """Flat per-project totals retained for reporting; a summary.csv row."""
 
     project_id: str
     commits: int
@@ -407,27 +406,43 @@ def growth_decay(
     )
 
 
-_POPULATION_COLUMNS = ("project", "belief", "release_ordinal", "rho", "p", "n")
-_WINDOW_COLUMNS = (
-    "project",
-    "release_ordinal",
-    "release_time",
-    "distinct_files",
-    "right_censored",
-    "qualified",
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, not {text!r}")
+    return text == "1"
+
+
+# The four assessment tables: each column's name and the parser that reads
+# its text back. A row type's fields follow its table's column order.
+_Table = tuple[tuple[str, Callable[[str], object]], ...]
+_POPULATIONS = (
+    ("project", str),
+    ("belief", str),
+    ("release_ordinal", int),
+    ("rho", float),
+    ("p", float),
+    ("n", int),
 )
-_EXCLUSION_COLUMNS = ("project", "belief", "reason", "count")
-_SUMMARY_COLUMNS = (
-    "project",
-    "commits",
-    "bug_fix_fraction",
-    "releases",
-    "developers",
-    "active_years",
+_WINDOWS = (
+    ("project", str),
+    ("release_ordinal", int),
+    ("release_time", int),
+    ("distinct_files", int),
+    ("right_censored", _flag),
+    ("qualified", _flag),
+)
+_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", int))
+_SUMMARY = (
+    ("project", str),
+    ("commits", int),
+    ("bug_fix_fraction", float),
+    ("releases", int),
+    ("developers", int),
+    ("active_years", float),
 )
 
 
-def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[list]) -> None:
+def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
     """Write a header and rows as UTF-8 CSV with "\n" line ends; rows may be
     a generator, which is consumed as the file is written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -436,22 +451,63 @@ def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[list]) -> Non
         writer.writerows(rows)
 
 
+def _write_table(path: Path, table: _Table, rows: Iterable[tuple]) -> None:
+    """Write an assessment table, one tuple per row in column order: flags
+    as 0/1, floats by repr and every other value as str() gives it."""
+    write_csv(
+        path,
+        tuple(name for name, _ in table),
+        (tuple(int(v) if type(v) is bool else v for v in row) for row in rows),
+    )
+
+
+def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> list:
+    """Read an assessment table: row_type(*parsed fields) for each row.
+
+    The header must be the table's columns and every row must hold one field
+    per column; blank lines are skipped. The first bad line raises CacheError.
+    """
+    columns = [name for name, _ in table]
+    parsers = [parse for _, parse in table]
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != columns:
+                raise CacheError(path, 1, f"header is not {','.join(columns)}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(parsers):
+                    raise CacheError(
+                        path, reader.line_num, f"{len(fields)} fields, expected {len(parsers)}"
+                    )
+                rows.append(row_type(*[parse(text) for parse, text in zip(parsers, fields)]))
+        except UnicodeDecodeError as exc:
+            raise invalid_utf8(path) from exc
+        except csv.Error as exc:
+            raise CacheError(path, reader.line_num, str(exc)) from exc
+        except ValueError as exc:
+            raise CacheError(path, reader.line_num, f"bad field value: {exc}") from exc
+    return rows
+
+
 def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> None:
     ordered = sorted(
         populations, key=lambda p: (p.project_id, BELIEF_IDS.index(p.belief_id))
     )
-    write_csv(
+    _write_table(
         path,
-        _POPULATION_COLUMNS,
+        _POPULATIONS,
         (
-            [
+            (
                 population.project_id,
                 population.belief_id,
                 score.release_ordinal,
-                repr(score.rho),
-                repr(score.p_value),
+                score.rho,
+                score.p_value,
                 score.n,
-            ]
+            )
             for population in ordered
             for score in sorted(population.scores, key=lambda s: s.release_ordinal or 0)
         ),
@@ -460,82 +516,48 @@ def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> No
 
 def read_populations_csv(path: Path) -> list[BeliefPopulation]:
     """Rebuild populations from populations.csv; exclusion counts are not
-    round-tripped (they live in exclusions.csv)."""
+    round-tripped (they live in exclusions.csv). Each score passes
+    SupportScore's range checks."""
+    rows = _read_table(
+        path,
+        _POPULATIONS,
+        lambda project, belief, ordinal, rho, p, n: (
+            (project, belief),
+            SupportScore(rho, p, n, belief_id=belief, release_ordinal=ordinal),
+        ),
+    )
     grouped: dict[tuple[str, str], list[SupportScore]] = defaultdict(list)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            grouped[(row["project"], row["belief"])].append(
-                SupportScore(
-                    rho=float(row["rho"]),
-                    p_value=float(row["p"]),
-                    n=int(row["n"]),
-                    belief_id=row["belief"],
-                    release_ordinal=int(row["release_ordinal"]),
-                )
-            )
-    populations = []
-    for (project_id, belief_id), scores in sorted(grouped.items()):
-        populations.append(
-            BeliefPopulation(
-                belief_id=belief_id,
-                project_id=project_id,
-                scores=sorted(scores, key=lambda s: s.release_ordinal or 0),
-            )
-        )
-    return populations
+    for key, score in rows:
+        grouped[key].append(score)
+    return [
+        BeliefPopulation(belief_id, project_id, sorted(scores, key=lambda s: s.release_ordinal))
+        for (project_id, belief_id), scores in sorted(grouped.items())
+    ]
 
 
 def write_windows_csv(window_rows: list[WindowRow], path: Path) -> None:
-    write_csv(
-        path,
-        _WINDOW_COLUMNS,
-        (
-            [
-                row.project_id,
-                row.release_ordinal,
-                row.release_time,
-                row.distinct_files,
-                int(row.right_censored),
-                int(row.qualified),
-            ]
-            for row in sorted(window_rows, key=lambda r: (r.project_id, r.release_ordinal))
-        ),
-    )
+    ordered = sorted(window_rows, key=lambda r: (r.project_id, r.release_ordinal))
+    _write_table(path, _WINDOWS, ordered)
 
 
 def read_windows_csv(path: Path) -> list[WindowRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                WindowRow(
-                    project_id=row["project"],
-                    release_ordinal=int(row["release_ordinal"]),
-                    release_time=int(row["release_time"]),
-                    distinct_files=int(row["distinct_files"]),
-                    right_censored=bool(int(row["right_censored"])),
-                    qualified=bool(int(row["qualified"])),
-                )
-            )
-    return rows
+    return _read_table(path, _WINDOWS, WindowRow)
 
 
 def write_exclusions_csv(populations: list[BeliefPopulation], path: Path) -> None:
     ordered = sorted(
         populations, key=lambda p: (p.project_id, BELIEF_IDS.index(p.belief_id))
     )
-    write_csv(
+    _write_table(
         path,
-        _EXCLUSION_COLUMNS,
+        _EXCLUSIONS,
         (
-            [
+            (
                 population.project_id,
                 population.belief_id,
                 reason,
                 population.exclusions.get(reason, 0),
-            ]
+            )
             for population in ordered
             for reason in (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT)
         ),
@@ -543,36 +565,8 @@ def write_exclusions_csv(populations: list[BeliefPopulation], path: Path) -> Non
 
 
 def write_summary_csv(rows: list[SummaryRow], path: Path) -> None:
-    write_csv(
-        path,
-        _SUMMARY_COLUMNS,
-        (
-            [
-                row.project_id,
-                row.commits,
-                repr(row.bug_fix_fraction),
-                row.releases,
-                row.developers,
-                repr(row.active_years),
-            ]
-            for row in sorted(rows, key=lambda r: r.project_id)
-        ),
-    )
+    _write_table(path, _SUMMARY, sorted(rows, key=lambda r: r.project_id))
 
 
 def read_summary_csv(path: Path) -> list[SummaryRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rows.append(
-                SummaryRow(
-                    project_id=row["project"],
-                    commits=int(row["commits"]),
-                    bug_fix_fraction=float(row["bug_fix_fraction"]),
-                    releases=int(row["releases"]),
-                    developers=int(row["developers"]),
-                    active_years=float(row["active_years"]),
-                )
-            )
-    return rows
+    return _read_table(path, _SUMMARY, SummaryRow)

@@ -56,6 +56,19 @@ class CacheError(Exception):
         self.reason = reason
 
 
+def invalid_utf8(path: str | Path) -> CacheError:
+    """The CacheError for a text file that failed to decode as UTF-8,
+    naming the first line (counted as text mode counts) that does not."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return CacheError(path, line_no, f"invalid UTF-8: {exc}")
+    return CacheError(path, len(lines), "invalid UTF-8")  # changed since it failed
+
+
 class ChangeRecord(NamedTuple):
     """One file touched by one commit."""
 
@@ -121,33 +134,9 @@ def is_source_file(
     return ext in extensions
 
 
-def _git_command(repo_path: str | Path, args: tuple[str, ...]) -> list[str]:
-    return ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args]
-
-
-def _git_failure(
-    repo_path: str | Path, args: tuple[str, ...], stderr: str, returncode: int
-) -> RepositoryError:
-    detail = stderr.strip().splitlines()
-    return RepositoryError(
-        f"git {args[0]} failed in {repo_path}: {detail[0] if detail else returncode}"
-    )
-
-
 def _run_git(repo_path: str | Path, *args: str) -> str:
-    try:
-        proc = subprocess.run(
-            _git_command(repo_path, args),
-            capture_output=True,
-            text=True,
-            encoding="utf-8",
-            errors="replace",
-        )
-    except OSError as exc:
-        raise RepositoryError(f"cannot run git: {exc}") from exc
-    if proc.returncode != 0:
-        raise _git_failure(repo_path, args, proc.stderr, proc.returncode)
-    return proc.stdout
+    """Run git to the end and return its whole output."""
+    return "\0".join(_stream_git(repo_path, *args))
 
 
 def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
@@ -164,7 +153,9 @@ def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
     with tempfile.TemporaryFile() as stderr:
         try:
             proc = subprocess.Popen(
-                _git_command(repo_path, args), stdout=subprocess.PIPE, stderr=stderr
+                ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args],
+                stdout=subprocess.PIPE,
+                stderr=stderr,
             )
         except OSError as exc:
             raise RepositoryError(f"cannot run git: {exc}") from exc
@@ -187,8 +178,10 @@ def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
                 raise
         if proc.returncode != 0:
             stderr.seek(0)
-            detail = stderr.read().decode("utf-8", errors="replace")
-            raise _git_failure(repo_path, args, detail, proc.returncode)
+            detail = stderr.read().decode("utf-8", errors="replace").strip().splitlines()
+            raise RepositoryError(
+                f"git {args[0]} failed in {repo_path}: {detail[0] if detail else proc.returncode}"
+            )
     yield "".join(pending)
 
 
@@ -501,49 +494,52 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
     share = strings.setdefault
     canonical = _CANONICAL_HISTORY_LINE.fullmatch
     new_record = tuple.__new__
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            match = canonical(line)
-            if match is not None:
-                commit_id, commit_time, author, file_path, insertions, deletions, flag = (
-                    match.groups()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                match = canonical(line)
+                if match is not None:
+                    commit_id, commit_time, author, file_path, insertions, deletions, flag = (
+                        match.groups()
+                    )
+                    commit_time = int(commit_time)
+                    insertions = int(insertions)
+                    deletions = int(deletions)
+                    is_bug_fix = flag == "true"
+                elif not line.strip():
+                    continue
+                else:
+                    obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
+                    try:
+                        commit_id = str(obj["commit_id"])
+                        commit_time = int(obj["commit_time"])
+                        author = str(obj["author"])
+                        file_path = str(obj["file_path"])
+                        insertions = int(obj["insertions"])
+                        deletions = int(obj["deletions"])
+                        is_bug_fix = bool(obj["is_bug_fix"])
+                    except (TypeError, ValueError, OverflowError) as exc:
+                        raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+                if insertions < 0 or deletions < 0:
+                    raise CacheError(path, line_no, "negative churn")
+                # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
+                # calls; the seven values are the fields in order.
+                records.append(
+                    new_record(
+                        ChangeRecord,
+                        (
+                            share(commit_id, commit_id),
+                            commit_time,
+                            share(author, author),
+                            share(file_path, file_path),
+                            insertions,
+                            deletions,
+                            is_bug_fix,
+                        ),
+                    )
                 )
-                commit_time = int(commit_time)
-                insertions = int(insertions)
-                deletions = int(deletions)
-                is_bug_fix = flag == "true"
-            elif not line.strip():
-                continue
-            else:
-                obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
-                try:
-                    commit_id = str(obj["commit_id"])
-                    commit_time = int(obj["commit_time"])
-                    author = str(obj["author"])
-                    file_path = str(obj["file_path"])
-                    insertions = int(obj["insertions"])
-                    deletions = int(obj["deletions"])
-                    is_bug_fix = bool(obj["is_bug_fix"])
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            if insertions < 0 or deletions < 0:
-                raise CacheError(path, line_no, "negative churn")
-            # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
-            # calls; the seven values are the fields in order.
-            records.append(
-                new_record(
-                    ChangeRecord,
-                    (
-                        share(commit_id, commit_id),
-                        commit_time,
-                        share(author, author),
-                        share(file_path, file_path),
-                        insertions,
-                        deletions,
-                        is_bug_fix,
-                    ),
-                )
-            )
+    except UnicodeDecodeError as exc:
+        raise invalid_utf8(path) from exc
     return records
 
 
@@ -568,21 +564,24 @@ def read_releases(path: str | Path) -> list[Release]:
     whose time is earlier than the line before."""
     releases: list[Release] = []
     line_nos: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
-            try:
-                release = Release(
-                    tag_name=str(obj["tag_name"]),
-                    release_time=int(obj["release_time"]),
-                    ordinal=int(obj["ordinal"]),
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            releases.append(release)
-            line_nos.append(line_no)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
+                try:
+                    release = Release(
+                        tag_name=str(obj["tag_name"]),
+                        release_time=int(obj["release_time"]),
+                        ordinal=int(obj["ordinal"]),
+                    )
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+                releases.append(release)
+                line_nos.append(line_no)
+    except UnicodeDecodeError as exc:
+        raise invalid_utf8(path) from exc
     for position, (release, line_no) in enumerate(zip(releases, line_nos), start=1):
         if release.ordinal != position:
             raise CacheError(path, line_no, "release ordinals are not 1..N in order")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
-    _POPULATION_COLUMNS,
     BeliefPopulation,
     SizeThresholds,
     SummaryRow,
@@ -31,6 +30,7 @@ from .analysis import (
     read_summary_csv,
     read_windows_csv,
     write_csv,
+    write_populations_csv,
 )
 from .config import DEFAULTS, Config
 from .metrics import BELIEF_IDS
@@ -472,4 +472,4 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     if populations_csv is not None and populations_csv.exists():
         shutil.copyfile(populations_csv, out_path / "populations.csv")
     else:
-        write_csv(out_path / "populations.csv", _POPULATION_COLUMNS, [])
+        write_populations_csv([], out_path / "populations.csv")

@@ -27,6 +27,7 @@ import re
 import statistics
 from collections import Counter, defaultdict
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 
@@ -229,39 +230,58 @@ _HISTORY_FIELDS = {
 }
 
 
+def _invalid_utf8_loop(path):
+    """The CacheError for a cache that is not UTF-8: the line holding the
+    first byte at which decoding the whole file fails, the reason that of
+    decoding that line alone."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start] + b"x").splitlines())
+    try:
+        data.splitlines()[line_no - 1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return CacheError(path, line_no, f"invalid UTF-8: {exc}")
+
+
 def read_history_loop(path):
     """History cache reader: json.loads per non-blank line, then the key set
-    check, the field conversions and the churn check, in that order."""
+    check, the field conversions and the churn check, in that order. A file
+    that is not UTF-8 raises CacheError at its first undecodable line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            except RecursionError as exc:  # nested deeper than the decoder's stack
-                raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
-            except ValueError as exc:  # an integer longer than int() may convert
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
-                raise CacheError(path, line_no, "unexpected history record fields")
-            try:
-                record = ChangeRecord(
-                    commit_id=str(obj["commit_id"]),
-                    commit_time=int(obj["commit_time"]),
-                    author=str(obj["author"]),
-                    file_path=str(obj["file_path"]),
-                    insertions=int(obj["insertions"]),
-                    deletions=int(obj["deletions"]),
-                    is_bug_fix=bool(obj["is_bug_fix"]),
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-            if record.insertions < 0 or record.deletions < 0:
-                raise CacheError(path, line_no, "negative churn")
-            records.append(record)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+                except RecursionError as exc:  # nested deeper than the decoder's stack
+                    raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
+                except ValueError as exc:  # an integer longer than int() may convert
+                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+                if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
+                    raise CacheError(path, line_no, "unexpected history record fields")
+                try:
+                    record = ChangeRecord(
+                        commit_id=str(obj["commit_id"]),
+                        commit_time=int(obj["commit_time"]),
+                        author=str(obj["author"]),
+                        file_path=str(obj["file_path"]),
+                        insertions=int(obj["insertions"]),
+                        deletions=int(obj["deletions"]),
+                        is_bug_fix=bool(obj["is_bug_fix"]),
+                    )
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+                if record.insertions < 0 or record.deletions < 0:
+                    raise CacheError(path, line_no, "negative churn")
+                records.append(record)
+    except UnicodeDecodeError:
+        raise _invalid_utf8_loop(path) from None
     return records
 
 

@@ -292,6 +292,20 @@ def test_assess_deeply_nested_line_is_a_data_error(tmp_path, data_dir, capsys, c
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("cache", ["history.jsonl", "releases.jsonl"])
+def test_assess_invalid_utf8_is_a_data_error(tmp_path, data_dir, capsys, cache):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    path = caches / cache
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'": "', b'": "\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {path}:2: invalid UTF-8: " in stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
@@ -371,6 +385,62 @@ def test_report_missing_assessment_exits_one(tmp_path, capsys):
     out = tmp_path / "report"
     assert main(["report", str(tmp_path / "nonexistent"), "--out", str(out)]) == 1
     assert "error: assessment directory not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _replace_line(text, line_no, new_line):
+    lines = text.split("\n")
+    lines[line_no - 1] = new_line
+    return "\n".join(lines)
+
+
+# (file, its new bytes from the fixture's text, the line the error names)
+_MALFORMED_ASSESSMENTS = {
+    "missing-column": (
+        "populations.csv",
+        lambda text: text.replace(",rho,", ",").encode(),
+        1,
+    ),
+    "non-integer-flag": (
+        "windows.csv",
+        lambda text: _replace_line(text, 3, "fixture,3,1615507200,1,0,x").encode(),
+        3,
+    ),
+    "rho-out-of-range": (
+        "populations.csv",
+        lambda text: (text + "fixture,B1,2,1.5,0.01,10\n").encode(),
+        2,
+    ),
+    "short-row": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,0.45").encode(),
+        2,
+    ),
+    "empty-file": ("populations.csv", lambda text: b"", 1),
+    "invalid-utf8": (
+        "windows.csv",
+        lambda text: text.encode().replace(b"fixture,4,", b"fixture\xff,4,"),
+        4,
+    ),
+    "field-over-csv-limit": (
+        "summary.csv",
+        lambda text: text.replace("fixture,", "f" * 200_000 + ",").encode(),
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_ASSESSMENTS))
+def test_report_on_malformed_assessment_names_line(tmp_path, data_dir, capsys, case):
+    name, corrupt, line_no = _MALFORMED_ASSESSMENTS[case]
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    path = assessment / name
+    path.write_bytes(corrupt(path.read_text(encoding="utf-8")))
+    out = tmp_path / "report"
+    assert main(["report", str(assessment), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert f"error: {path}:{line_no}: " in stderr
     assert not out.exists()
 
 

@@ -525,6 +525,8 @@ _READER_CASES = {
         ["", _GOOD, "   ", "\t", "\x0c", " ", " ", _row(commit_time=200), ""]
     ),
     "invalid-utf8": _cache_bytes([_GOOD]) + b'{"commit_id": "\xff"}\n',
+    "invalid-utf8-after-lone-cr": _cache_bytes([_GOOD, _GOOD], end="\r") + b'"\xff"\r',
+    "truncated-utf8-before-newline": _cache_bytes([_GOOD, _GOOD]) + b'"\xc3\n',
     # The edge of the one-pattern path: a string with an escape, an integer
     # of 19 digits or any other spelling must take json.loads and agree.
     **{
