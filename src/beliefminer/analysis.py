@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import DEFAULTS, Config
-from .ingest import CacheError, ChangeRecord, Release, invalid_utf8
+from .ingest import CacheError, ChangeRecord, Release, read_utf8_lines
 from .metrics import BELIEF_IDS, BeliefVector, compute_all
 from .stats import (
     RankedGroup,
@@ -406,6 +406,15 @@ def growth_decay(
     )
 
 
+def _integer(text: str) -> int:
+    """An integer as the writers spell it: ASCII digits after an optional
+    minus (release times may be negative), so int()'s spaces and underscores
+    are rejected."""
+    if not (text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"flag must be 0 or 1, not {text!r}")
@@ -418,26 +427,26 @@ _Table = tuple[tuple[str, Callable[[str], object]], ...]
 _POPULATIONS = (
     ("project", str),
     ("belief", str),
-    ("release_ordinal", int),
+    ("release_ordinal", _integer),
     ("rho", float),
     ("p", float),
-    ("n", int),
+    ("n", _integer),
 )
 _WINDOWS = (
     ("project", str),
-    ("release_ordinal", int),
-    ("release_time", int),
-    ("distinct_files", int),
+    ("release_ordinal", _integer),
+    ("release_time", _integer),
+    ("distinct_files", _integer),
     ("right_censored", _flag),
     ("qualified", _flag),
 )
-_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", int))
+_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _integer))
 _SUMMARY = (
     ("project", str),
-    ("commits", int),
+    ("commits", _integer),
     ("bug_fix_fraction", float),
-    ("releases", int),
-    ("developers", int),
+    ("releases", _integer),
+    ("developers", _integer),
     ("active_years", float),
 )
 
@@ -469,9 +478,10 @@ def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> l
     """
     columns = [name for name, _ in table]
     parsers = [parse for _, parse in table]
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+
+    def parse_rows(path: Path, lines: Iterable[str]) -> list:
+        rows = []
+        reader = csv.reader(lines)
         try:
             if next(reader, None) != columns:
                 raise CacheError(path, 1, f"header is not {','.join(columns)}")
@@ -483,13 +493,15 @@ def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> l
                         path, reader.line_num, f"{len(fields)} fields, expected {len(parsers)}"
                     )
                 rows.append(row_type(*[parse(text) for parse, text in zip(parsers, fields)]))
-        except UnicodeDecodeError as exc:
-            raise invalid_utf8(path) from exc
+        except UnicodeDecodeError:  # a ValueError subclass; read_utf8_lines handles it
+            raise
         except csv.Error as exc:
             raise CacheError(path, reader.line_num, str(exc)) from exc
         except ValueError as exc:
             raise CacheError(path, reader.line_num, f"bad field value: {exc}") from exc
-    return rows
+        return rows
+
+    return read_utf8_lines(path, parse_rows, newline="")
 
 
 def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> None:

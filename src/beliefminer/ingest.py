@@ -13,7 +13,7 @@ import logging
 import re
 import subprocess
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,17 +56,35 @@ class CacheError(Exception):
         self.reason = reason
 
 
-def invalid_utf8(path: str | Path) -> CacheError:
-    """The CacheError for a text file that failed to decode as UTF-8,
-    naming the first line (counted as text mode counts) that does not."""
-    with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for line_no, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return CacheError(path, line_no, f"invalid UTF-8: {exc}")
-    return CacheError(path, len(lines), "invalid UTF-8")  # changed since it failed
+def read_utf8_lines(path: str | Path, parse: Callable, newline: str | None = None):
+    """parse(path, lines) over the lines of a UTF-8 text file, as open()
+    yields them in this newline mode; returns what parse returns.
+
+    Text mode decodes a chunk at a time, so invalid UTF-8 can surface before
+    parse has seen the earlier lines of its chunk. The lines before the
+    first undecodable one are then parsed again, so a CacheError among them
+    is raised first; otherwise the CacheError names the undecodable line
+    (counted as text mode counts).
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return parse(path, fh)
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        lines = data.splitlines(keepends=True)
+        head_size = 0
+        for line_no, line in enumerate(lines, start=1):
+            try:
+                line.rstrip(b"\r\n").decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                error = CacheError(path, line_no, f"invalid UTF-8: {line_exc}")
+                break
+            head_size += len(line)
+        else:  # the file changed since it failed
+            raise CacheError(path, len(lines), "invalid UTF-8") from exc
+        head = io.TextIOWrapper(io.BytesIO(data[:head_size]), encoding="utf-8", newline=newline)
+        parse(path, head)
+        raise error from exc
 
 
 class ChangeRecord(NamedTuple):
@@ -489,57 +507,57 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
     line goes to json.loads, which accepts what it accepts and otherwise
     raises the canonical error. The first bad line raises CacheError.
     """
+    return read_utf8_lines(path, _history_records)
+
+
+def _history_records(path: str | Path, lines: Iterable[str]) -> list[ChangeRecord]:
     records: list[ChangeRecord] = []
     strings: dict[str, str] = {}
     share = strings.setdefault
     canonical = _CANONICAL_HISTORY_LINE.fullmatch
     new_record = tuple.__new__
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                match = canonical(line)
-                if match is not None:
-                    commit_id, commit_time, author, file_path, insertions, deletions, flag = (
-                        match.groups()
-                    )
-                    commit_time = int(commit_time)
-                    insertions = int(insertions)
-                    deletions = int(deletions)
-                    is_bug_fix = flag == "true"
-                elif not line.strip():
-                    continue
-                else:
-                    obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
-                    try:
-                        commit_id = str(obj["commit_id"])
-                        commit_time = int(obj["commit_time"])
-                        author = str(obj["author"])
-                        file_path = str(obj["file_path"])
-                        insertions = int(obj["insertions"])
-                        deletions = int(obj["deletions"])
-                        is_bug_fix = bool(obj["is_bug_fix"])
-                    except (TypeError, ValueError, OverflowError) as exc:
-                        raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-                if insertions < 0 or deletions < 0:
-                    raise CacheError(path, line_no, "negative churn")
-                # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
-                # calls; the seven values are the fields in order.
-                records.append(
-                    new_record(
-                        ChangeRecord,
-                        (
-                            share(commit_id, commit_id),
-                            commit_time,
-                            share(author, author),
-                            share(file_path, file_path),
-                            insertions,
-                            deletions,
-                            is_bug_fix,
-                        ),
-                    )
-                )
-    except UnicodeDecodeError as exc:
-        raise invalid_utf8(path) from exc
+    for line_no, line in enumerate(lines, start=1):
+        match = canonical(line)
+        if match is not None:
+            commit_id, commit_time, author, file_path, insertions, deletions, flag = (
+                match.groups()
+            )
+            commit_time = int(commit_time)
+            insertions = int(insertions)
+            deletions = int(deletions)
+            is_bug_fix = flag == "true"
+        elif not line.strip():
+            continue
+        else:
+            obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
+            try:
+                commit_id = str(obj["commit_id"])
+                commit_time = int(obj["commit_time"])
+                author = str(obj["author"])
+                file_path = str(obj["file_path"])
+                insertions = int(obj["insertions"])
+                deletions = int(obj["deletions"])
+                is_bug_fix = bool(obj["is_bug_fix"])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        if insertions < 0 or deletions < 0:
+            raise CacheError(path, line_no, "negative churn")
+        # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
+        # calls; the seven values are the fields in order.
+        records.append(
+            new_record(
+                ChangeRecord,
+                (
+                    share(commit_id, commit_id),
+                    commit_time,
+                    share(author, author),
+                    share(file_path, file_path),
+                    insertions,
+                    deletions,
+                    is_bug_fix,
+                ),
+            )
+        )
     return records
 
 
@@ -562,30 +580,31 @@ def read_releases(path: str | Path) -> list[Release]:
     """Read a releases cache. Field errors come first, in file order; then
     the first line whose ordinal is not its position, then the first line
     whose time is earlier than the line before."""
-    releases: list[Release] = []
-    line_nos: list[int] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
-                try:
-                    release = Release(
-                        tag_name=str(obj["tag_name"]),
-                        release_time=int(obj["release_time"]),
-                        ordinal=int(obj["ordinal"]),
-                    )
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-                releases.append(release)
-                line_nos.append(line_no)
-    except UnicodeDecodeError as exc:
-        raise invalid_utf8(path) from exc
-    for position, (release, line_no) in enumerate(zip(releases, line_nos), start=1):
+    numbered = read_utf8_lines(path, _numbered_releases)
+    releases = [release for _, release in numbered]
+    for position, (line_no, release) in enumerate(numbered, start=1):
         if release.ordinal != position:
             raise CacheError(path, line_no, "release ordinals are not 1..N in order")
-    for earlier, later, line_no in zip(releases, releases[1:], line_nos[1:]):
+    for (_, earlier), (line_no, later) in zip(numbered, numbered[1:]):
         if later.release_time < earlier.release_time:
             raise CacheError(path, line_no, "release times are not sorted")
     return releases
+
+
+def _numbered_releases(path: str | Path, lines: Iterable[str]) -> list[tuple[int, Release]]:
+    """(line number, release) for each non-blank line."""
+    numbered = []
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
+        try:
+            release = Release(
+                tag_name=str(obj["tag_name"]),
+                release_time=int(obj["release_time"]),
+                ordinal=int(obj["ordinal"]),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        numbered.append((line_no, release))
+    return numbered

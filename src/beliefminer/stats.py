@@ -13,17 +13,57 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import statistics
 import struct
+import sys
+import types
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
-from scipy.special import stdtr
+# Scott-Knott's bootstrap draws from numpy.random: load it at start-up, not
+# inside report's first default_rng call.
+import numpy.random  # noqa: F401
+import scipy
 
 from .config import DEFAULTS
+
+
+def _load_stdtr():
+    """scipy's Student-t CDF ufunc, without importing scipy.special's package.
+
+    That package's __init__ also loads scipy's array-API layer (numpy.f2py
+    beneath it), about half of a stage's start-up, none of which stdtr
+    needs. While a stand-in package of the same name sits in sys.modules,
+    the compiled _ufuncs module imports on its own; the stand-in is then
+    removed, so a later `import scipy.special` loads the real package, which
+    reuses that module. It is the same ufunc object either way. Another
+    scipy layout takes the plain import.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.stdtr
+    stand_in = types.ModuleType("scipy.special")
+    try:
+        stand_in.__path__ = [os.path.join(path, "special") for path in scipy.__path__]
+        sys.modules["scipy.special"] = stand_in
+        from scipy.special._ufuncs import stdtr
+
+        return stdtr
+    except (ImportError, AttributeError):
+        pass
+    finally:
+        if sys.modules.get("scipy.special") is stand_in:
+            del sys.modules["scipy.special"]
+    from scipy.special import stdtr
+
+    return stdtr
+
+
+stdtr = _load_stdtr()
 
 # 8! = 40320 permutations, still enumerable. The smallest exact two-sided p
 # is 2/n!, so at the default alpha = 0.01 a window with n <= 5 can never be
@@ -97,13 +137,6 @@ def _average_ranks(values) -> np.ndarray:
     ranks = np.empty(n)
     ranks[order] = ((starts + ends + 1) / 2).repeat(ends - starts)
     return ranks
-
-
-def rank_with_ties(values: list[float]) -> list[float]:
-    """1-based average ranks; tied values share the mean of their positions."""
-    if not values:
-        raise ValueError("cannot rank an empty list")
-    return _average_ranks(values).tolist()
 
 
 def _centred(ranks: np.ndarray) -> tuple[np.ndarray, float]:

@@ -15,11 +15,13 @@ functions are the former one-walk-per-belief metrics, the reference for
 metrics.compute_all's single grouped pass;
 rank_with_ties_loop and pearson_fsum are the former sweep ranks and fsum
 Pearson, the bit-exact reference for spearman's numpy ranks and centred
-sums.
+sums; rank_with_ties is the list API over those numpy ranks, which the
+tests compare with the references.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -35,8 +37,15 @@ from beliefminer.config import DEFAULTS, SECONDS_PER_DAY, Config
 from beliefminer.ingest import CacheError, ChangeRecord
 from beliefminer.labeling import KeywordSet
 from beliefminer.metrics import BeliefVector
-from beliefminer.stats import Treatment, split_is_distinct
+from beliefminer.stats import Treatment, _average_ranks, split_is_distinct
 from beliefminer.windowing import DefectCounts, ReleaseWindow
+
+
+def rank_with_ties(values: list[float]) -> list[float]:
+    """1-based average ranks; tied values share the mean of their positions."""
+    if not values:
+        raise ValueError("cannot rank an empty list")
+    return _average_ranks(values).tolist()
 
 
 def rank_brute(values):
@@ -230,58 +239,61 @@ _HISTORY_FIELDS = {
 }
 
 
-def _invalid_utf8_loop(path):
-    """The CacheError for a cache that is not UTF-8: the line holding the
-    first byte at which decoding the whole file fails, the reason that of
-    decoding that line alone."""
+def read_history_loop(path):
+    """History cache reader: json.loads per non-blank line, then the key set
+    check, the field conversions and the churn check, in that order. A file
+    that is not UTF-8 raises the first such error among the lines before its
+    first undecodable line, or else CacheError at that line, whose reason is
+    that of decoding that line alone."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _history_lines_loop(path, fh)
+    except UnicodeDecodeError:
+        pass
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        valid = data[: exc.start].decode("utf-8")
         line_no = len((data[: exc.start] + b"x").splitlines())
+    # the whole lines of the text before the first undecodable byte
+    _history_lines_loop(path, itertools.islice(io.StringIO(valid, newline=None), line_no - 1))
     try:
         data.splitlines()[line_no - 1].decode("utf-8")
     except UnicodeDecodeError as exc:
-        return CacheError(path, line_no, f"invalid UTF-8: {exc}")
+        raise CacheError(path, line_no, f"invalid UTF-8: {exc}") from None
 
 
-def read_history_loop(path):
-    """History cache reader: json.loads per non-blank line, then the key set
-    check, the field conversions and the churn check, in that order. A file
-    that is not UTF-8 raises CacheError at its first undecodable line."""
+def _history_lines_loop(path, lines):
     records = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
-                except RecursionError as exc:  # nested deeper than the decoder's stack
-                    raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
-                except ValueError as exc:  # an integer longer than int() may convert
-                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-                if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
-                    raise CacheError(path, line_no, "unexpected history record fields")
-                try:
-                    record = ChangeRecord(
-                        commit_id=str(obj["commit_id"]),
-                        commit_time=int(obj["commit_time"]),
-                        author=str(obj["author"]),
-                        file_path=str(obj["file_path"]),
-                        insertions=int(obj["insertions"]),
-                        deletions=int(obj["deletions"]),
-                        is_bug_fix=bool(obj["is_bug_fix"]),
-                    )
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-                if record.insertions < 0 or record.deletions < 0:
-                    raise CacheError(path, line_no, "negative churn")
-                records.append(record)
-    except UnicodeDecodeError:
-        raise _invalid_utf8_loop(path) from None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CacheError(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        except RecursionError as exc:  # nested deeper than the decoder's stack
+            raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer longer than int() may convert
+            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
+            raise CacheError(path, line_no, "unexpected history record fields")
+        try:
+            record = ChangeRecord(
+                commit_id=str(obj["commit_id"]),
+                commit_time=int(obj["commit_time"]),
+                author=str(obj["author"]),
+                file_path=str(obj["file_path"]),
+                insertions=int(obj["insertions"]),
+                deletions=int(obj["deletions"]),
+                is_bug_fix=bool(obj["is_bug_fix"]),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        if record.insertions < 0 or record.deletions < 0:
+            raise CacheError(path, line_no, "negative churn")
+        records.append(record)
     return records
 
 

@@ -523,6 +523,14 @@ def test_windows_csv_round_trip(tmp_path):
     assert "True" not in text  # booleans serialize as 0/1
 
 
+def test_windows_csv_round_trip_negative_release_time(tmp_path):
+    # a release tagged before 1970 is written with a minus sign and read back
+    rows = [WindowRow("p", 1, -86400, 3, False, True), WindowRow("p", 2, 0, 4, False, True)]
+    path = tmp_path / "windows.csv"
+    write_windows_csv(rows, path)
+    assert read_windows_csv(path) == rows
+
+
 def test_exclusions_csv_contents(tmp_path):
     population = _population([], belief="B2", project="p")
     population.exclusions = {EXCLUDE_TOO_FEW: 3, EXCLUDE_NOT_SIGNIFICANT: 1}

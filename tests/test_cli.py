@@ -417,10 +417,27 @@ _MALFORMED_ASSESSMENTS = {
         2,
     ),
     "empty-file": ("populations.csv", lambda text: b"", 1),
+    "underscore-in-integer": (
+        "windows.csv",
+        lambda text: _replace_line(text, 3, "fixture,3,1_615_507_200,1,0,0").encode(),
+        3,
+    ),
+    "spaces-around-integer": (
+        "windows.csv",
+        lambda text: _replace_line(text, 4, "fixture,4,1620691200, 2 ,0,0").encode(),
+        4,
+    ),
     "invalid-utf8": (
         "windows.csv",
         lambda text: text.encode().replace(b"fixture,4,", b"fixture\xff,4,"),
         4,
+    ),
+    "bad-field-before-invalid-utf8": (
+        "windows.csv",
+        lambda text: _replace_line(text, 3, "fixture,3,1615507200,1,0,x")
+        .encode()
+        .replace(b"fixture,4,", b"fixture\xff,4,"),
+        3,
     ),
     "field-over-csv-limit": (
         "summary.csv",
@@ -478,21 +495,94 @@ def test_synth_missing_scenario(tmp_path, capsys):
 # --- start-up ------------------------------------------------------------------
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about half a second per stage process at start-up;
-    # the statistics engine needs only scipy.special
+def _run_python(code, *flags):
+    """Run code in a fresh interpreter that imports this beliefminer; return
+    its stdout, and fail on a nonzero exit."""
     src = Path(beliefminer.__file__).resolve().parents[1]
     path = [str(src), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    probe = "import sys, beliefminer.cli; print('scipy.stats' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env
     )
-    assert result.stdout.strip() == "False"
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about half a second per stage process at start-up;
+    # the statistics engine needs only scipy.special's stdtr ufunc
+    probe = "import sys, beliefminer.cli; print('scipy.stats' in sys.modules)"
+    assert _run_python(probe).strip() == "False"
+
+
+def test_cli_import_loads_stdtr_without_scipy_special_package():
+    # scipy.special's package costs about half of each stage's start-up, and
+    # numpy.random is loaded at start-up rather than in report's timed work;
+    # the import prints nothing and warns nothing in development mode
+    assert _run_python("import beliefminer.cli", "-X", "dev", "-W", "error") == ""
+    probe = (
+        "import sys, beliefminer.cli\n"
+        "print(sorted(m for m in ('scipy.special', 'numpy.random') if m in sys.modules))"
+    )
+    assert _run_python(probe).strip() == "['numpy.random']"
+
+
+@pytest.mark.parametrize("special_first", [False, True], ids=["special-later", "special-first"])
+def test_stdtr_is_scipy_special_stdtr(special_first):
+    probe = (
+        "import sys\n"
+        + ("import scipy.special\n" if special_first else "")
+        + "from beliefminer import stats\n"
+        "loaded = 'scipy.special' in sys.modules\n"
+        "import scipy.special, scipy.stats\n"
+        "print(loaded, stats.stdtr is scipy.special.stdtr,"
+        " stats._t_approximation_p(0.5, 12) == 2 * scipy.stats.t.sf(0.5 * (10 / 0.75) ** 0.5, 10))"
+    )
+    assert _run_python(probe).split() == [str(special_first), "True", "True"]
+
+
+# Large-n Spearman inputs (the t approximation's range), printed as
+# (rho, p) in float.hex; `blocked` is how often the fast path was refused.
+_T_P_VALUES = """
+import json, random, sys
+from beliefminer import stats
+rng = random.Random(7)
+out = []
+for n in (9, 10, 12, 20, 50, 200, 1000):
+    for _ in range(5):
+        x = [rng.randrange(6) for _ in range(n)]
+        y = [v + rng.randrange(8) for v in x]
+        score = stats.spearman(x, y)
+        out.append((score.rho.hex(), score.p_value.hex()))
+print(blocked, 'scipy.special' in sys.modules, stats.stdtr is sys.modules['scipy.special._ufuncs'].stdtr)
+print(json.dumps(out))
+"""
+
+# Refuses scipy.special._ufuncs once, so that only the loader's fast path
+# fails; the fallback's real scipy.special then imports it.
+_REFUSE_UFUNCS = """
+import sys
+blocked = 0
+class Refuse:
+    def find_spec(self, name, path, target=None):
+        global blocked
+        if name == "scipy.special._ufuncs":
+            sys.meta_path.remove(self)
+            blocked += 1
+            raise {error}("refused")
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+@pytest.mark.parametrize("error", ["ImportError", "AttributeError"])
+def test_stdtr_loader_falls_back_to_scipy_special(error):
+    fast = _run_python("blocked = 0\n" + _T_P_VALUES).splitlines()
+    fallback = _run_python(_REFUSE_UFUNCS.format(error=error) + _T_P_VALUES).splitlines()
+    assert fast[0] == "0 False True"
+    assert fallback[0] == "1 True True"
+    assert fallback[1] == fast[1]
+    p_values = [float.fromhex(p) for _, p in json.loads(fast[1])]
+    assert len(set(p_values)) > 20 and 0.0 < min(p_values) < 1e-10 and max(p_values) > 0.05
 
 
 # --- installed script ------------------------------------------------------------

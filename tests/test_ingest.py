@@ -527,6 +527,12 @@ _READER_CASES = {
     "invalid-utf8": _cache_bytes([_GOOD]) + b'{"commit_id": "\xff"}\n',
     "invalid-utf8-after-lone-cr": _cache_bytes([_GOOD, _GOOD], end="\r") + b'"\xff"\r',
     "truncated-utf8-before-newline": _cache_bytes([_GOOD, _GOOD]) + b'"\xc3\n',
+    "json-error-before-invalid-utf8": _cache_bytes(["{oops"]) + b'"\xff"\n',
+    "field-error-before-invalid-utf8": _cache_bytes([_GOOD, "", _row(insertions=-1)]) + b"\xff\n",
+    "json-error-before-invalid-utf8-crlf": _cache_bytes([_GOOD, "{oops"], end="\r\n") + b"\xff",
+    "json-error-before-invalid-utf8-lone-cr": _cache_bytes([_GOOD, "{oops"], end="\r") + b"\xff",
+    "json-error-after-invalid-utf8": _cache_bytes([_GOOD]) + b'"\xff"\n' + _cache_bytes(["{oops"]),
+    "json-error-chunks-before-invalid-utf8": _cache_bytes(["{oops"] + [_GOOD] * 200) + b"\xff\n",
     # The edge of the one-pattern path: a string with an escape, an integer
     # of 19 digits or any other spelling must take json.loads and agree.
     **{
@@ -774,3 +780,25 @@ def test_read_releases_names_first_bad_line(tmp_path, lines, line_no, reason):
     with pytest.raises(CacheError) as excinfo:
         read_releases(path)
     assert (excinfo.value.line_no, excinfo.value.reason) == (line_no, reason)
+
+
+# A bad line before the first undecodable one is named, though text mode
+# decodes ahead and meets the invalid bytes first.
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize(
+    "lines, line_no, reason",
+    [
+        ([b"{oops", b'"\xff"'], 1, "invalid JSON: Expecting property name"),
+        ([b"", b"{oops", b"", b"\xff"], 2, "invalid JSON: Expecting property name"),
+        ([b"\xff", b"{oops"], 1, "invalid UTF-8: "),
+    ],
+    ids=["json-error-first", "after-blank-lines", "undecodable-first"],
+)
+@pytest.mark.parametrize("reader", [read_history, read_releases], ids=["history", "releases"])
+def test_read_names_bad_line_before_invalid_utf8(tmp_path, reader, lines, line_no, reason, end):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(CacheError) as excinfo:
+        reader(path)
+    assert excinfo.value.line_no == line_no
+    assert excinfo.value.reason.startswith(reason)

@@ -24,7 +24,6 @@ from beliefminer.stats import (
     bootstrap_different,
     derive_split_seed,
     quartiles,
-    rank_with_ties,
     scott_knott,
     shared_y_ranks,
     spearman,
@@ -37,6 +36,7 @@ from oracles import (
     exact_permutation_p_loop,
     mc_permutation_p,
     rank_brute,
+    rank_with_ties,
     rank_with_ties_loop,
     scott_knott_brute,
     spearman_brute,
