@@ -415,6 +415,12 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _belief(text: str) -> str:
+    if text not in BELIEF_IDS:
+        raise ValueError(f"unknown belief {text!r}")
+    return text
+
+
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"flag must be 0 or 1, not {text!r}")
@@ -426,7 +432,7 @@ def _flag(text: str) -> bool:
 _Table = tuple[tuple[str, Callable[[str], object]], ...]
 _POPULATIONS = (
     ("project", str),
-    ("belief", str),
+    ("belief", _belief),
     ("release_ordinal", _integer),
     ("rho", float),
     ("p", float),
@@ -453,7 +459,10 @@ _SUMMARY = (
 
 def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
     """Write a header and rows as UTF-8 CSV with "\n" line ends; rows may be
-    a generator, which is consumed as the file is written."""
+    a generator, which is consumed as the file is written.
+
+    Values are written as csv.writer spells them: a float by repr, None as
+    an empty field, and everything else by str."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -461,8 +470,8 @@ def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[Iterable]) ->
 
 
 def _write_table(path: Path, table: _Table, rows: Iterable[tuple]) -> None:
-    """Write an assessment table, one tuple per row in column order: flags
-    as 0/1, floats by repr and every other value as str() gives it."""
+    """Write an assessment table, one tuple per row in column order; flags
+    are written as 0/1, every other value as write_csv writes it."""
     write_csv(
         path,
         tuple(name for name, _ in table),

@@ -82,22 +82,25 @@ class Config:
             raise ConfigError("post_days: must be >= 1")
         if self.period_days < 1:
             raise ConfigError("period_days: must be >= 1")
-        if not self.decay_rate > 0:
-            raise ConfigError("decay_rate: must be positive")
+        if not 0 < self.decay_rate < math.inf:
+            raise ConfigError("decay_rate: must be positive and finite")
         if self.min_files < 1:
             raise ConfigError("min_files: must be >= 1")
         if self.min_observations < 2:
             raise ConfigError("min_observations: must be >= 2")
         if not 0 < self.alpha < 1:
             raise ConfigError("alpha: must lie in (0, 1)")
-        if not self.support_threshold > 0:
-            raise ConfigError("support_threshold: must be positive")
-        if not self.trend_threshold > 0:
-            raise ConfigError("trend_threshold: must be positive")
+        if not 0 < self.support_threshold < math.inf:
+            raise ConfigError("support_threshold: must be positive and finite")
+        if not 0 < self.trend_threshold < math.inf:
+            raise ConfigError("trend_threshold: must be positive and finite")
         if self.bootstrap_iterations < 100:
             raise ConfigError("bootstrap_iterations: must be >= 100")
         if not 0 < self.a12_threshold <= 1:
             raise ConfigError("a12_threshold: must lie in (0, 1]")
+        # the Scott-Knott split seeds hash it as a signed 64-bit integer
+        if not -(2**63) <= self.seed < 2**63:
+            raise ConfigError("seed: must lie in [-2**63, 2**63)")
 
 
 # The one default instance; every keyword default that mirrors a Config
@@ -119,8 +122,9 @@ def read_key_values(
     Blank lines and comments are skipped. A comment starts at a '#' that
     opens the line or follows whitespace, so a '#' inside a value, as in
     a path like dir/c#sharp/stems.txt, is kept. An unreadable file, a line
-    without '=', an unknown key, or a value its parser rejects with
-    ValueError raises `error`, with path:line for problems inside the file.
+    without '=', an unknown or repeated key, or a value its parser rejects
+    with ValueError raises `error`, with path:line for problems inside the
+    file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -138,6 +142,8 @@ def read_key_values(
         parse = parsers.get(key)
         if parse is None:
             raise error(f"{path}:{line_no}: unknown key {key!r}")
+        if key in values:
+            raise error(f"{path}:{line_no}: duplicate key {key!r}")
         try:
             values[key] = parse(raw.strip())
         except ValueError as exc:

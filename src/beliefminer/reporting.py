@@ -397,12 +397,13 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
     return report, populations_path
 
 
-def _ranking_csv_rows(groups: list[RankedGroup]) -> list[list]:
-    rows = []
-    for group in sorted(groups, key=lambda g: g.rank):
-        for entry in group.treatments:
-            rows.append([group.rank, entry.label, repr(entry.median), repr(entry.iqr)])
-    return rows
+def _ranking_rows(groups: list[RankedGroup]) -> list[tuple[int, str, float, float]]:
+    """(rank, treatment, median, iqr) for every treatment, lowest rank first."""
+    return [
+        (group.rank, entry.label, entry.median, entry.iqr)
+        for group in sorted(groups, key=lambda g: g.rank)
+        for entry in group.treatments
+    ]
 
 
 def write_report(report: Report, out_dir: str | Path, populations_csv: Path | None) -> None:
@@ -411,64 +412,24 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / "report.md", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_report(report))
-    write_csv(
-        out_path / "ranking.csv",
-        ("rank", "treatment", "median", "iqr"),
-        _ranking_csv_rows(report.ranking),
-    )
-    bucket_rows = []
-    for row in _ranking_csv_rows(report.size_ranking):
-        thresholds = report.size_thresholds
-        bucket_rows.append(
-            row
-            + [
-                repr(thresholds.median_df) if thresholds else "",
-                repr(thresholds.q3_df) if thresholds else "",
-            ]
-        )
-    write_csv(
-        out_path / "buckets.csv",
-        ("rank", "treatment", "median", "iqr", "median_df", "q3_df"),
-        bucket_rows,
-    )
-    write_csv(
-        out_path / "trends.csv",
-        ("belief", "growth_pct", "decay_pct"),
-        [
-            [belief, repr(growth_pct), repr(decay_pct)]
-            for belief, growth_pct, decay_pct in report.trend_summary
-        ],
-    )
-    write_csv(
-        out_path / "trend_detail.csv",
-        ("project", "belief", "rho_time", "p_time", "trend"),
-        [
-            [
-                t.project_id,
-                t.belief_id,
-                "" if t.rho_time is None else repr(t.rho_time),
-                "" if t.p_time is None else repr(t.p_time),
-                t.trend,
-            ]
-            for t in report.trends
-        ],
-    )
-    write_csv(
-        out_path / "distribution.csv",
-        ("quantity", "q1", "median", "q3"),
-        [
-            [key, repr(q1), repr(median), repr(q3)]
-            for key, q1, median, q3 in report.distribution_rows
-        ],
-    )
-    write_csv(
-        out_path / "coverage.csv",
-        ("project", "covered_beliefs", "prevalence_pct"),
-        [
-            [project_id, covered, "" if pct is None else repr(pct)]
-            for project_id, covered, pct in report.coverage_rows
-        ],
-    )
+    thresholds = report.size_thresholds
+    cuts = (thresholds.median_df, thresholds.q3_df) if thresholds else (None, None)
+    tables = {
+        "ranking.csv": (("rank", "treatment", "median", "iqr"), _ranking_rows(report.ranking)),
+        "buckets.csv": (
+            ("rank", "treatment", "median", "iqr", "median_df", "q3_df"),
+            [row + cuts for row in _ranking_rows(report.size_ranking)],
+        ),
+        "trends.csv": (("belief", "growth_pct", "decay_pct"), report.trend_summary),
+        "trend_detail.csv": (
+            ("project", "belief", "rho_time", "p_time", "trend"),
+            [(t.project_id, t.belief_id, t.rho_time, t.p_time, t.trend) for t in report.trends],
+        ),
+        "distribution.csv": (("quantity", "q1", "median", "q3"), report.distribution_rows),
+        "coverage.csv": (("project", "covered_beliefs", "prevalence_pct"), report.coverage_rows),
+    }
+    for name, (columns, rows) in tables.items():
+        write_csv(out_path / name, columns, rows)
     if populations_csv is not None and populations_csv.exists():
         shutil.copyfile(populations_csv, out_path / "populations.csv")
     else:

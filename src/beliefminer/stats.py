@@ -149,11 +149,11 @@ def _centred(ranks: np.ndarray) -> tuple[np.ndarray, float]:
     return centred, fsum((centred * centred).tolist())
 
 
-# Ranks of the y vectors seen inside shared_y_ranks(), keyed by their values,
-# so a memo met by any other caller can only save work, never change a
-# result. In assess, every file-level belief of a window is correlated
+# Centred ranks of the y vectors seen inside shared_y_ranks(), keyed by their
+# values, so a memo met by any other caller can only save work, never change
+# a result. In assess, every file-level belief of a window is correlated
 # against the same defect vector, so each distinct one is ranked once.
-_y_ranks: dict[tuple, tuple[np.ndarray, np.ndarray, float]] | None = None
+_y_ranks: dict[tuple, tuple[np.ndarray, float]] | None = None
 
 
 @contextlib.contextmanager
@@ -168,14 +168,13 @@ def shared_y_ranks() -> Iterator[None]:
         _y_ranks = None
 
 
-def _y_side(y) -> tuple[np.ndarray, np.ndarray, float]:
-    """y's average ranks, centred ranks and their sum of squares."""
+def _y_side(y) -> tuple[np.ndarray, float]:
+    """y's centred average ranks and their sum of squares."""
     memo = {} if _y_ranks is None else _y_ranks
     key = tuple(y)
     side = memo.get(key)
     if side is None:
-        ranks = _average_ranks(y)
-        side = memo[key] = (ranks, *_centred(ranks))
+        side = memo[key] = _centred(_average_ranks(y))
     return side
 
 
@@ -192,22 +191,19 @@ def _permutation_indices(n: int) -> np.ndarray:
     return perms
 
 
-def _permutation_p(rank_x: list[float], rank_y: list[float], rho: float) -> float:
+def _permutation_p(
+    centred_x: np.ndarray, centred_y: np.ndarray, den: float, rho: float
+) -> float:
     """Two-sided exact p: share of y-rank permutations whose |rho| reaches
     the observed one (within a guard band well below rank-rho resolution).
+    The arguments are spearman's centred ranks, its rho denominator and rho.
 
-    Average ranks are multiples of 0.5 with mean (n+1)/2, so every centred
+    Every centred rank is a multiple of 0.5 (see _centred), so every centred
     product is a multiple of 0.25 and each numerator is exact in float64
     whatever the summation order; the hit count cannot depend on how the
     matrix product is evaluated."""
-    n = len(rank_x)
-    mean_x = fsum(rank_x) / n
-    mean_y = fsum(rank_y) / n
-    dx = np.array(rank_x, dtype=float) - mean_x
-    dy = np.array(rank_y, dtype=float) - mean_y
-    den = math.sqrt(fsum(dx * dx) * fsum(dy * dy))
-    perms = _permutation_indices(n)
-    nums = dy[perms] @ dx
+    perms = _permutation_indices(len(centred_x))
+    nums = centred_y[perms] @ centred_x
     hits = int(np.count_nonzero(np.abs(nums / den) >= abs(rho) - _PERM_EPS))
     return hits / len(perms)
 
@@ -242,13 +238,12 @@ def spearman(
         raise ValueError("need at least 2 observations")
     if min(x) == max(x) or min(y) == max(y):
         return SupportScore(0.0, 1.0, n, belief_id, release_ordinal)
-    rank_x = _average_ranks(x)
-    centred_x, sum_xx = _centred(rank_x)
-    rank_y, centred_y, sum_yy = _y_side(y)
+    centred_x, sum_xx = _centred(_average_ranks(x))
+    centred_y, sum_yy = _y_side(y)
     den = math.sqrt(sum_xx * sum_yy)
     rho = max(-1.0, min(1.0, fsum((centred_x * centred_y).tolist()) / den))
     if exact_p and n <= EXACT_P_MAX_N:
-        p_value = _permutation_p(rank_x.tolist(), rank_y.tolist(), rho)
+        p_value = _permutation_p(centred_x, centred_y, den, rho)
     else:
         p_value = _t_approximation_p(rho, n)
     return SupportScore(rho, p_value, n, belief_id, release_ordinal)

@@ -388,6 +388,30 @@ def test_report_missing_assessment_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+# (option, its value or the config file's line, what the error names)
+_OUT_OF_RANGE_SETTINGS = {
+    "seed-over-64-bits": ("--seed", "99999999999999999999", "seed"),
+    "infinite-decay-rate": ("--config", "decay_rate = inf", "decay_rate"),
+    "infinite-support-threshold": ("--config", "support_threshold = inf", "support_threshold"),
+    "infinite-trend-threshold": ("--config", "trend_threshold = inf", "trend_threshold"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE_SETTINGS))
+def test_report_rejects_out_of_range_setting(tmp_path, data_dir, capsys, case):
+    option, value, key = _OUT_OF_RANGE_SETTINGS[case]
+    if option == "--config":
+        config = tmp_path / "run.cfg"
+        config.write_text(value + "\n", encoding="utf-8")
+        value = str(config)
+    out = tmp_path / "report"
+    argv = ["report", str(data_dir / "fixture_assess"), "--out", str(out), option, value]
+    assert main(argv) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 def _replace_line(text, line_no, new_line):
     lines = text.split("\n")
     lines[line_no - 1] = new_line
@@ -414,6 +438,11 @@ _MALFORMED_ASSESSMENTS = {
     "short-row": (
         "summary.csv",
         lambda text: _replace_line(text, 2, "fixture,20,0.45").encode(),
+        2,
+    ),
+    "unknown-belief": (
+        "populations.csv",
+        lambda text: (text + "fixture,B11,2,0.9,0.001,10\n").encode(),
         2,
     ),
     "empty-file": ("populations.csv", lambda text: b"", 1),

@@ -45,12 +45,22 @@ def test_defaults():
         ({"bootstrap_iterations": 99}, "bootstrap_iterations"),
         ({"a12_threshold": 0.0}, "a12_threshold"),
         ({"a12_threshold": 1.1}, "a12_threshold"),
+        ({"decay_rate": math.inf}, "decay_rate"),
+        ({"support_threshold": math.inf}, "support_threshold"),
+        ({"trend_threshold": math.inf}, "trend_threshold"),
+        ({"seed": 2**63}, "seed"),
+        ({"seed": -(2**63) - 1}, "seed"),
     ],
 )
 def test_validate_names_offending_key(kwargs, key):
     with pytest.raises(ConfigError) as excinfo:
         Config(**kwargs).validate()
     assert key in str(excinfo.value)
+
+
+@pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+def test_validate_accepts_seed_at_64_bit_bounds(seed):
+    assert Config(seed=seed).seed == seed
 
 
 def test_load_config_overrides(tmp_path):
@@ -101,6 +111,7 @@ def test_load_config_bad_values(tmp_path):
         ("replication_mode = maybe", "replication_mode"),
         ("extensions = ,", "extensions"),
         ("just a line", "key = value"),
+        ("alpha = 0.05\nseed = 3\nalpha = 0.01", ":3: duplicate key 'alpha'"),
     ]:
         path = tmp_path / "run.cfg"
         path.write_text(body + "\n", encoding="utf-8")

@@ -242,7 +242,10 @@ def test_exact_p_equals_loop_reference(n, tied):
         rank_y = rank_with_ties(y)
         score = spearman(x, y)
         expected = exact_permutation_p_loop(rank_x, rank_y, score.rho)
-        assert _permutation_p(rank_x, rank_y, score.rho) == expected
+        centred_x = np.array(rank_x) - (n + 1) / 2
+        centred_y = np.array(rank_y) - (n + 1) / 2
+        den = math.sqrt(math.fsum(centred_x * centred_x) * math.fsum(centred_y * centred_y))
+        assert _permutation_p(centred_x, centred_y, den, score.rho) == expected
         assert score.p_value == expected
         signs.add(math.copysign(1.0, score.rho))
         checked += 1

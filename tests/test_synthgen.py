@@ -131,6 +131,7 @@ def test_parse_scenario_file_errors(tmp_path):
         ("files_per_release = 1,2,3\n", "files_per_release"),
         ("releases\n", "key = value"),
         ("planted_belief = B5\n", "planted_belief"),  # validated after parse
+        ("releases = 6\n\nreleases = 8\n", ":3: duplicate key 'releases'"),
     ]
     for body, needle in cases:
         path = tmp_path / "scenario.txt"
