@@ -116,17 +116,14 @@ def belief_population(
     project_id: str,
     belief_id: str,
     scored_windows: list[tuple[ReleaseWindow, BeliefVector]],
-    alpha: float = DEFAULTS.alpha,
-    min_n: int = DEFAULTS.min_observations,
+    cfg: Config = DEFAULTS,
 ) -> BeliefPopulation:
     """Correlate each window's vector and keep only significant scores.
 
-    Windows with fewer than min_n entities never reach the correlation;
-    scores with p >= alpha are dropped. Both exclusions are counted by
-    reason so reports can say why a release is missing.
+    Windows with fewer than cfg.min_observations entities never reach the
+    correlation; scores with p >= cfg.alpha are dropped. Both exclusions are
+    counted by reason so reports can say why a release is missing.
     """
-    if min_n < 2:
-        raise ValueError("min_n must be >= 2")
     scores: list[SupportScore] = []
     exclusions = {EXCLUDE_TOO_FEW: 0, EXCLUDE_NOT_SIGNIFICANT: 0}
     for window, vector in scored_windows:
@@ -134,7 +131,7 @@ def belief_population(
             raise ValueError(
                 f"vector for {vector.belief_id} passed to {belief_id} population"
             )
-        if vector.n < min_n:
+        if vector.n < cfg.min_observations:
             exclusions[EXCLUDE_TOO_FEW] += 1
             continue
         score = spearman(
@@ -144,7 +141,7 @@ def belief_population(
             belief_id=belief_id,
             release_ordinal=window.release.ordinal,
         )
-        if score.p_value >= alpha:
+        if score.p_value >= cfg.alpha:
             exclusions[EXCLUDE_NOT_SIGNIFICANT] += 1
             continue
         scores.append(score)
@@ -163,9 +160,7 @@ def assess_project(
     cfg: Config = DEFAULTS,
 ) -> ProjectAssessment:
     """Run windowing, metrics, and population construction for one project."""
-    windows = build_windows(
-        releases, records, post_days=cfg.post_days, extensions=frozenset(cfg.extensions)
-    )
+    windows = build_windows(releases, records, cfg)
     # Each window's defect count reads only its own files' bug fixes inside
     # its post horizon (pre_end, post_end], found by bisection on each
     # file's fixes in time order.
@@ -178,7 +173,7 @@ def assess_project(
         belief: [] for belief in BELIEF_IDS
     }
     for window in windows:
-        qualified = qualify_window(window, cfg.min_files)
+        qualified = qualify_window(window, cfg)
         window_rows.append(
             WindowRow(
                 project_id=project_id,
@@ -203,13 +198,7 @@ def assess_project(
             per_belief[vector.belief_id].append((window, vector))
     with shared_y_ranks():
         populations = {
-            belief: belief_population(
-                project_id,
-                belief,
-                per_belief[belief],
-                alpha=cfg.alpha,
-                min_n=cfg.min_observations,
-            )
+            belief: belief_population(project_id, belief, per_belief[belief], cfg)
             for belief in BELIEF_IDS
         }
     return ProjectAssessment(
@@ -239,11 +228,8 @@ def support_label(rho: float) -> str:
     return LABEL_VERY_STRONG
 
 
-def coverage(
-    populations: list[BeliefPopulation],
-    threshold: float = DEFAULTS.support_threshold,
-) -> int:
-    """Number of beliefs whose median |rho| reaches the support threshold.
+def coverage(populations: list[BeliefPopulation], cfg: Config = DEFAULTS) -> int:
+    """Number of beliefs whose median |rho| reaches cfg.support_threshold.
     Empty populations never count."""
     covered = 0
     for population in populations:
@@ -251,21 +237,18 @@ def coverage(
             continue
         magnitudes = sorted(abs(s.rho) for s in population.scores)
         _, median, _ = quartiles(magnitudes)
-        if median >= threshold:
+        if median >= cfg.support_threshold:
             covered += 1
     return covered
 
 
-def prevalence(
-    populations: list[BeliefPopulation],
-    threshold: float = DEFAULTS.support_threshold,
-) -> float | None:
-    """Percentage of pooled significant scores reaching the threshold, or
-    None when there are no scores at all."""
+def prevalence(populations: list[BeliefPopulation], cfg: Config = DEFAULTS) -> float | None:
+    """Percentage of pooled significant scores reaching
+    cfg.support_threshold, or None when there are no scores at all."""
     pooled = [abs(s.rho) for p in populations for s in p.scores]
     if not pooled:
         return None
-    reached = sum(1 for value in pooled if value >= threshold)
+    reached = sum(1 for value in pooled if value >= cfg.support_threshold)
     return 100.0 * reached / len(pooled)
 
 
@@ -273,12 +256,11 @@ def _rank_pooled(
     pooled: dict[str, list[float]],
     labels: Iterable[str],
     empty_warning: str,
-    seed: int,
-    iterations: int,
-    a12_threshold: float,
+    cfg: Config,
 ) -> list[RankedGroup]:
-    """Scott-Knott over the pooled scores of `labels`, in that order; a
-    label with no scores is dropped with `empty_warning` (one %s, the label)."""
+    """Scott-Knott over the pooled scores of `labels`, in that order, with
+    the run's seed, bootstrap iterations and A12 threshold; a label with no
+    scores is dropped with `empty_warning` (one %s, the label)."""
     treatments: list[Treatment] = []
     for label in labels:
         if pooled.get(label):
@@ -287,33 +269,31 @@ def _rank_pooled(
             logger.warning(empty_warning, label)
     if not treatments:
         return []
-    return scott_knott(treatments, seed=seed, iterations=iterations, a12_threshold=a12_threshold)
+    return scott_knott(
+        treatments,
+        seed=cfg.seed,
+        iterations=cfg.bootstrap_iterations,
+        a12_threshold=cfg.a12_threshold,
+    )
 
 
-def rank_beliefs(
-    populations: list[BeliefPopulation],
-    seed: int = DEFAULTS.seed,
-    iterations: int = DEFAULTS.bootstrap_iterations,
-    a12_threshold: float = DEFAULTS.a12_threshold,
-) -> list[RankedGroup]:
+def rank_beliefs(populations: list[BeliefPopulation], cfg: Config = DEFAULTS) -> list[RankedGroup]:
     """Scott-Knott over the ten beliefs' pooled |rho| scores across projects.
     Beliefs with no significant score anywhere are dropped with a warning."""
     pooled: dict[str, list[float]] = defaultdict(list)
     for population in populations:
         pooled[population.belief_id].extend(abs(s.rho) for s in population.scores)
     warning = "belief %s has no significant scores; not ranked"
-    return _rank_pooled(pooled, BELIEF_IDS, warning, seed, iterations, a12_threshold)
+    return _rank_pooled(pooled, BELIEF_IDS, warning, cfg)
 
 
-def size_thresholds(
-    distinct_file_counts: list[int], replication_mode: bool = DEFAULTS.replication_mode
-) -> SizeThresholds:
-    """Median and Q3 of the dataset's own D_F distribution. Replication mode
-    pins the median cut to the published value of 18."""
+def size_thresholds(distinct_file_counts: list[int], cfg: Config = DEFAULTS) -> SizeThresholds:
+    """Median and Q3 of the dataset's own D_F distribution.
+    cfg.replication_mode pins the median cut to the published value of 18."""
     if not distinct_file_counts:
         raise ValueError("no windows to derive size thresholds from")
     _, median, q3 = quartiles([float(v) for v in distinct_file_counts])
-    if replication_mode:
+    if cfg.replication_mode:
         median = REPLICATION_MEDIAN_DF
     return SizeThresholds(median_df=median, q3_df=q3)
 
@@ -329,16 +309,14 @@ def bucket_for(distinct_files: int, thresholds: SizeThresholds) -> str:
 
 
 def bucket_windows(
-    window_rows: list[WindowRow], replication_mode: bool = DEFAULTS.replication_mode
+    window_rows: list[WindowRow], cfg: Config = DEFAULTS
 ) -> tuple[SizeThresholds, dict[tuple[str, int], str]]:
     """Assign each qualified window a size bucket from the dataset-wide D_F
     distribution. Windows with the bare minimum D_F = 3 stay unbucketed."""
     qualified = [row for row in window_rows if row.qualified]
     if not qualified:
         raise ValueError("no qualified windows to bucket")
-    thresholds = size_thresholds(
-        [row.distinct_files for row in qualified], replication_mode
-    )
+    thresholds = size_thresholds([row.distinct_files for row in qualified], cfg)
     assignment = {
         (row.project_id, row.release_ordinal): bucket_for(
             row.distinct_files, thresholds
@@ -351,9 +329,7 @@ def bucket_windows(
 def rank_beliefs_by_size(
     populations: list[BeliefPopulation],
     bucket_by_window: dict[tuple[str, int], str],
-    seed: int = DEFAULTS.seed,
-    iterations: int = DEFAULTS.bootstrap_iterations,
-    a12_threshold: float = DEFAULTS.a12_threshold,
+    cfg: Config = DEFAULTS,
 ) -> list[RankedGroup]:
     """Scott-Knott over up to 30 (size bucket x belief) treatments, labels
     like S_B5. Unbucketed windows and empty combinations are dropped."""
@@ -368,19 +344,19 @@ def rank_beliefs_by_size(
             pooled[f"{prefix}_{population.belief_id}"].append(abs(score.rho))
     labels = [f"{prefix}_{belief}" for belief in BELIEF_IDS for prefix in _BUCKET_PREFIX.values()]
     warning = "treatment %s has no scores; not ranked"
-    return _rank_pooled(pooled, labels, warning, seed, iterations, a12_threshold)
+    return _rank_pooled(pooled, labels, warning, cfg)
 
 
 def growth_decay(
     population: BeliefPopulation,
     release_times: dict[int, int],
-    threshold: float = DEFAULTS.trend_threshold,
-    min_scores: int = DEFAULTS.min_observations,
+    cfg: Config = DEFAULTS,
 ) -> TrendResult:
     """Correlate a belief's |rho| scores against their release dates.
 
-    Growth when rho_time >= threshold, decay when <= -threshold; a
-    population under min_scores is neither, with no correlation reported.
+    Growth when rho_time >= cfg.trend_threshold, decay when
+    <= -cfg.trend_threshold; a population under cfg.min_observations
+    scores is neither, with no correlation reported.
     No significance filter is applied to rho_time itself; its p-value is
     carried for the report.
     """
@@ -389,15 +365,15 @@ def growth_decay(
         for s in population.scores
         if s.release_ordinal in release_times
     ]
-    if len(dated) < min_scores:
+    if len(dated) < cfg.min_observations:
         return TrendResult(
             population.belief_id, population.project_id, "neither", None, None
         )
     dated.sort()
     score = spearman([d[0] for d in dated], [d[1] for d in dated], exact_p=True)
-    if score.rho >= threshold:
+    if score.rho >= cfg.trend_threshold:
         trend = "growth"
-    elif score.rho <= -threshold:
+    elif score.rho <= -cfg.trend_threshold:
         trend = "decay"
     else:
         trend = "neither"

@@ -62,12 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    common.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    common.add_argument(
-        "--replication-mode",
-        action="store_true",
-        help="pin the size-bucket median cut to the published value (18)",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     mine = subparsers.add_parser(
@@ -113,11 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("assessment", help="assessment directory (output of assess)")
     report.add_argument("--out", required=True, metavar="DIR", help="report output directory")
+    report.add_argument("--seed", type=int, help="override the Scott-Knott bootstrap seed")
+    report.add_argument(
+        "--replication-mode",
+        action="store_true",
+        help="pin the size-bucket median cut to the published value (18)",
+    )
     report.set_defaults(func=cmd_report)
 
-    synth = subparsers.add_parser(
-        "synth", parents=[common], help="generate synthetic caches from a scenario file"
-    )
+    synth = subparsers.add_parser("synth", help="generate synthetic caches from a scenario file")
     synth.add_argument("scenario", help="flat key = value scenario file")
     synth.add_argument("--out", required=True, metavar="DIR", help="cache output directory")
     synth.set_defaults(func=cmd_synth)
@@ -125,11 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> Config:
+    """The config file over the defaults, then the subcommand's own flags:
+    --extend on mine, --seed and --replication-mode on report."""
     cfg = load_config(args.config) if args.config else DEFAULTS
     overrides: dict[str, object] = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if args.replication_mode:
+    if getattr(args, "replication_mode", False):
         overrides["replication_mode"] = True
     if getattr(args, "extend", False):
         overrides["extend_keywords"] = True
@@ -293,7 +293,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _resolve_config(args)  # validates --config/--seed combinations early
     spec = parse_scenario_file(args.scenario)
     records, releases = generate(spec)
     out_dir = Path(args.out)
@@ -322,10 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except (ConfigError, ScenarioError, CacheError, RepositoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ScenarioError, CacheError, RepositoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -331,23 +331,12 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
     for population in populations:
         by_project[population.project_id].append(population)
 
-    ranking = rank_beliefs(
-        populations,
-        seed=cfg.seed,
-        iterations=cfg.bootstrap_iterations,
-        a12_threshold=cfg.a12_threshold,
-    )
+    ranking = rank_beliefs(populations, cfg)
 
     qualified_rows = [row for row in window_rows if row.qualified]
     if qualified_rows:
-        thresholds, bucket_map = bucket_windows(window_rows, cfg.replication_mode)
-        size_ranking = rank_beliefs_by_size(
-            populations,
-            bucket_map,
-            seed=cfg.seed,
-            iterations=cfg.bootstrap_iterations,
-            a12_threshold=cfg.a12_threshold,
-        )
+        thresholds, bucket_map = bucket_windows(window_rows, cfg)
+        size_ranking = rank_beliefs_by_size(populations, bucket_map, cfg)
     else:
         thresholds, size_ranking = None, []
 
@@ -357,8 +346,8 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
         coverage_rows.append(
             (
                 project_id,
-                coverage(project_populations, cfg.support_threshold),
-                prevalence(project_populations, cfg.support_threshold),
+                coverage(project_populations, cfg),
+                prevalence(project_populations, cfg),
             )
         )
 
@@ -366,12 +355,7 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
     for row in window_rows:
         release_times[row.project_id][row.release_ordinal] = row.release_time
     trends = [
-        growth_decay(
-            population,
-            release_times.get(population.project_id, {}),
-            threshold=cfg.trend_threshold,
-            min_scores=cfg.min_observations,
-        )
+        growth_decay(population, release_times.get(population.project_id, {}), cfg)
         for population in populations
     ]
     trends.sort(key=lambda t: (t.project_id, BELIEF_IDS.index(t.belief_id)))

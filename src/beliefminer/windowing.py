@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .config import DEFAULT_EXTENSIONS, DEFAULTS, SECONDS_PER_DAY
+from .config import DEFAULTS, SECONDS_PER_DAY, Config
 from .ingest import ChangeRecord, Release, is_source_file
 
 logger = logging.getLogger(__name__)
@@ -49,32 +49,28 @@ class DefectCounts:
 
     per_file: dict[str, int]
 
-    @property
-    def defective_files(self) -> int:
-        return sum(1 for count in self.per_file.values() if count > 0)
-
 
 def build_windows(
     releases: list[Release],
     records: list[ChangeRecord],
-    post_days: int = DEFAULTS.post_days,
-    extensions: frozenset[str] = DEFAULT_EXTENSIONS,
+    cfg: Config = DEFAULTS,
 ) -> list[ReleaseWindow]:
-    """Build one window per release after the first.
+    """Build one window per release after the first, each with a post
+    horizon of cfg.post_days.
 
-    Only source files (per the extension/test-path filter) enter windows.
+    Only source files (per cfg.extensions and the test-path filter) enter
+    windows.
     A window is right-censored when its post horizon runs past the last
     mined commit, meaning late defects may not have been observed yet.
     Releases tagged at the same instant as their predecessor have an empty
     pre interval and produce no window.
     """
-    if post_days <= 0:
-        raise ValueError("post_days must be positive")
     if len(releases) < 2:
         return []
     ordered = sorted(releases, key=lambda r: r.ordinal)
     # The filter depends on the path alone, so it runs once per distinct path.
     paths = {r.file_path for r in records}
+    extensions = frozenset(cfg.extensions)
     source_paths = {path for path in paths if is_source_file(path, extensions)}
     source = [r for r in records if r.file_path in source_paths]
     source.sort(key=attrgetter("commit_time", "commit_id", "file_path"))
@@ -92,7 +88,7 @@ def build_windows(
             continue
         pre_start = previous.release_time
         pre_end = current.release_time
-        post_end = pre_end + post_days * SECONDS_PER_DAY
+        post_end = pre_end + cfg.post_days * SECONDS_PER_DAY
         lo = bisect_right(times, pre_start)
         hi = bisect_right(times, pre_end)
         pre = source[lo:hi]
@@ -130,7 +126,7 @@ def count_post_defects(
     return DefectCounts(per_file=counts)
 
 
-def qualify_window(window: ReleaseWindow, min_files: int = DEFAULTS.min_files) -> bool:
-    """A window qualifies for assessment when enough distinct source files
-    changed before the release."""
-    return window.distinct_files >= min_files
+def qualify_window(window: ReleaseWindow, cfg: Config = DEFAULTS) -> bool:
+    """A window qualifies for assessment when at least cfg.min_files
+    distinct source files changed before the release."""
+    return window.distinct_files >= cfg.min_files

@@ -99,10 +99,10 @@ def test_population_drops_small_windows_before_correlating():
 
 def test_population_alpha_and_min_n_are_tunable():
     five = _scored_window(2, range(5), range(5))
-    relaxed = belief_population("proj", "B3", [five], alpha=0.05)
+    relaxed = belief_population("proj", "B3", [five], Config(alpha=0.05))
     assert len(relaxed.scores) == 1
     three = _scored_window(3, range(3), range(3))
-    small_ok = belief_population("proj", "B3", [three], alpha=0.5, min_n=2)
+    small_ok = belief_population("proj", "B3", [three], Config(alpha=0.5, min_observations=2))
     assert len(small_ok.scores) == 1
 
 
@@ -110,11 +110,6 @@ def test_population_rejects_mismatched_vector():
     wv = _scored_window(2, range(6), range(6), belief="B4")
     with pytest.raises(ValueError):
         belief_population("proj", "B3", [wv])
-
-
-def test_population_rejects_bad_min_n():
-    with pytest.raises(ValueError):
-        belief_population("proj", "B3", [], min_n=1)
 
 
 def test_assess_project_matches_fixture_goldens(fixture_repo, data_dir):
@@ -299,7 +294,7 @@ def test_coverage_counts_median_magnitude():
     below = _population([_score(0.3, ordinal=2), _score(0.2, ordinal=3)], belief="B4")
     empty = _population([], belief="B5")
     assert coverage([covered, below, empty]) == 1
-    assert coverage([covered], threshold=0.6) == 0
+    assert coverage([covered], Config(support_threshold=0.6)) == 0
 
 
 def test_coverage_uses_magnitudes():
@@ -332,7 +327,7 @@ def test_rank_beliefs_orders_by_support(caplog):
         _population([_score(v, belief="B9", ordinal=i + 2) for i, v in enumerate(_spread(0.15, 10))], belief="B9")
     ]
     with caplog.at_level(logging.WARNING):
-        groups = rank_beliefs(strong + weak, seed=1)
+        groups = rank_beliefs(strong + weak, Config(seed=1))
     assert [g.rank for g in groups] == [1, 2]
     assert groups[0].treatments[0].label == "B9"
     assert groups[1].treatments[0].label == "B2"
@@ -345,7 +340,7 @@ def test_rank_beliefs_pools_across_projects():
         _population([_score(v, belief="B2", ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p1"),
         _population([_score(v, belief="B2", ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p2"),
     ]
-    groups = rank_beliefs(pops, seed=1)
+    groups = rank_beliefs(pops, Config(seed=1))
     assert len(groups) == 1
     entry = groups[0].treatments[0]
     assert entry.label == "B2"
@@ -363,7 +358,7 @@ def test_size_thresholds_from_data():
 
 
 def test_size_thresholds_replication_pins_median_only():
-    thresholds = size_thresholds([5, 6, 7, 8], replication_mode=True)
+    thresholds = size_thresholds([5, 6, 7, 8], Config(replication_mode=True))
     assert thresholds.median_df == 18.0
     assert thresholds.q3_df == 7.25  # still the data's own Q3
 
@@ -425,7 +420,7 @@ def test_rank_beliefs_by_size_labels_and_drops(caplog):
     buckets = {("p", s.release_ordinal): BUCKET_SMALL for s in scores_small}
     buckets.update({("p", s.release_ordinal): BUCKET_LARGE for s in scores_large})
     with caplog.at_level(logging.WARNING):
-        groups = rank_beliefs_by_size([population], buckets, seed=1)
+        groups = rank_beliefs_by_size([population], buckets, Config(seed=1))
     labels = [e.label for g in groups for e in g.treatments]
     assert sorted(labels) == ["L_B3", "S_B3"]
     assert groups[0].treatments[0].label == "L_B3"  # weaker support ranks lower

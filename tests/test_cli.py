@@ -4,6 +4,7 @@ Commands run in-process through main(); byte-level golden comparisons pin
 the full mine -> assess -> report chain on the fixture repository.
 """
 
+import inspect
 import json
 import os
 import shutil
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import beliefminer
-from beliefminer import cli
+from beliefminer import analysis, cli, metrics, reporting
 from beliefminer.cli import main
+from beliefminer.config import DEFAULTS, load_config
 
 from fixture_repo import build_two_commit_repo, delete_loose_object
 
@@ -136,6 +138,33 @@ def test_usage_errors_exit_one(capsys):
     assert main(["mine", "somewhere"]) == 1  # --out is required
     assert main(["assess", "--out", "x"]) == 1  # caches argument missing
     capsys.readouterr()
+
+
+# Each subcommand accepts only the options it reads: --seed and
+# --replication-mode are report's, and synth reads no config file.
+_FOREIGN_OPTIONS = {
+    "mine-seed": ("mine", ["--force", "--seed", "1"], "--seed 1"),
+    "assess-replication-mode": ("assess", ["--replication-mode"], "--replication-mode"),
+    "synth-config": ("synth", ["--config", "run.cfg"], "--config run.cfg"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_OPTIONS))
+def test_subcommand_rejects_options_it_does_not_read(
+    tmp_path, fixture_repo, data_dir, capsys, monkeypatch, case
+):
+    command, options, unrecognized = _FOREIGN_OPTIONS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("post_days = 30\n", encoding="utf-8")
+    Path("scenario.txt").write_text("releases = 6\nfiles_per_release = 4, 6\n", encoding="utf-8")
+    _copy_fixture_caches(data_dir, tmp_path / "caches")
+    inputs = {"mine": str(fixture_repo), "assess": "caches", "synth": "scenario.txt"}
+    out = tmp_path / "out"
+    assert main([command, inputs[command], "--out", str(out), *options]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: beliefminer")
+    assert f"error: unrecognized arguments: {unrecognized}" in stderr
+    assert not out.exists()
 
 
 def test_bad_config_exits_one(tmp_path, fixture_repo, capsys):
@@ -488,6 +517,84 @@ def test_report_on_malformed_assessment_names_line(tmp_path, data_dir, capsys, c
     stderr = capsys.readouterr().err
     assert f"error: {path}:{line_no}: " in stderr
     assert not out.exists()
+
+
+# --- configuration wiring ------------------------------------------------------
+
+# Every key that assess or report reads, each set to a valid value other
+# than its default.
+_NON_DEFAULT_SETTINGS = {
+    "extensions": "py, ts, js",
+    "post_days": "120",
+    "period_days": "7",
+    "decay_rate": "0.5",
+    "min_files": "2",
+    "min_observations": "3",
+    "alpha": "0.5",
+    "support_threshold": "0.3",
+    "trend_threshold": "0.3",
+    "bootstrap_iterations": "200",
+    "a12_threshold": "0.6",
+    "seed": "7",
+    "replication_mode": "true",
+}
+
+# Every function that takes the run's cfg, at the module its caller looks
+# it up in.
+_CFG_READERS = {
+    cli: ("assess_project", "build_report"),
+    analysis: (
+        "build_windows",
+        "qualify_window",
+        "compute_all",
+        "belief_population",
+        "_rank_pooled",
+        "size_thresholds",
+    ),
+    metrics: ("_hcm",),
+    reporting: (
+        "bucket_windows",
+        "coverage",
+        "prevalence",
+        "rank_beliefs",
+        "rank_beliefs_by_size",
+        "growth_decay",
+    ),
+}
+
+
+def test_assess_and_report_pass_the_resolved_config_everywhere(
+    tmp_path, data_dir, capsys, monkeypatch
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "".join(f"{key} = {value}\n" for key, value in _NON_DEFAULT_SETTINGS.items()),
+        encoding="utf-8",
+    )
+    resolved = load_config(config)
+    for key in _NON_DEFAULT_SETTINGS:
+        assert getattr(resolved, key) != getattr(DEFAULTS, key), key
+    received = []
+    for module, names in _CFG_READERS.items():
+        for name in names:
+            real = getattr(module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                bound = inspect.signature(_real).bind(*args, **kwargs)
+                bound.apply_defaults()
+                received.append((_name, bound.arguments["cfg"]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    assessment = tmp_path / "assessment"
+    assert main(["assess", str(caches), "--config", str(config), "--out", str(assessment)]) == 0
+    report = tmp_path / "report"
+    assert main(["report", str(assessment), "--config", str(config), "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert {name for name, _ in received} == {n for names in _CFG_READERS.values() for n in names}
+    assert [name for name, cfg in received if cfg is DEFAULTS or cfg != resolved] == []
 
 
 # --- synth ---------------------------------------------------------------------

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from beliefminer.config import Config
 from beliefminer.ingest import read_history, read_releases, write_history, write_releases
 from beliefminer.stats import spearman
 from beliefminer.synthgen import (
@@ -20,7 +21,7 @@ from oracles import metric_b2_developers, metric_churn, metric_counts
 
 
 def _windows(records, releases, post_days):
-    return build_windows(releases, records, post_days=post_days)
+    return build_windows(releases, records, Config(post_days=post_days))
 
 
 def _window_rhos(records, releases, spec, metric):

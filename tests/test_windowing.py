@@ -2,15 +2,9 @@
 
 import logging
 
-import pytest
-
+from beliefminer.config import Config
 from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
-from beliefminer.windowing import (
-    DefectCounts,
-    build_windows,
-    count_post_defects,
-    qualify_window,
-)
+from beliefminer.windowing import build_windows, count_post_defects, qualify_window
 
 from fixture_repo import DAY, T0
 
@@ -46,7 +40,6 @@ def test_fixture_defect_counts(fixture_repo):
         "docs/guide.js": 0,
         "web/ui.ts": 1,
     }
-    assert counts.defective_files == 4
 
 
 def test_pre_interval_is_open_closed():
@@ -57,7 +50,7 @@ def test_pre_interval_is_open_closed():
         _rec("c3", 2000, "in/b.py"),  # exactly at t_r: included
         _rec("c4", 2001, "late/c.py"),
     ]
-    (window,) = build_windows(releases, records, post_days=1)
+    (window,) = build_windows(releases, records, Config(post_days=1))
     assert {r.file_path for r in window.pre_records} == {"in/a.py", "in/b.py"}
     assert window.distinct_files == 2
 
@@ -72,7 +65,7 @@ def test_post_horizon_is_open_closed():
         _rec("c4", horizon_end, "a.py", fix=True),  # inclusive end
         _rec("c5", horizon_end + 1, "a.py", fix=True),  # past the horizon
     ]
-    (window,) = build_windows(releases, records, post_days=1)
+    (window,) = build_windows(releases, records, Config(post_days=1))
     counts = count_post_defects(window, records)
     assert counts.per_file == {"a.py": 2}
 
@@ -84,10 +77,9 @@ def test_defects_only_for_pre_period_files():
         _rec("c2", 150, "unseen.py", fix=True),
         _rec("c3", 160, "seen.py"),  # non-fix touch: not a defect
     ]
-    (window,) = build_windows(releases, records, post_days=1)
+    (window,) = build_windows(releases, records, Config(post_days=1))
     counts = count_post_defects(window, records)
     assert counts.per_file == {"seen.py": 0}
-    assert counts.defective_files == 0
 
 
 def test_non_source_records_never_enter_windows():
@@ -103,7 +95,7 @@ def test_non_source_records_never_enter_windows():
 
 def test_first_release_gets_no_window():
     releases = [Release("r1", 100, 1), Release("r2", 200, 2), Release("r3", 300, 3)]
-    windows = build_windows(releases, [_rec("c1", 150, "a.py")], post_days=1)
+    windows = build_windows(releases, [_rec("c1", 150, "a.py")], Config(post_days=1))
     assert [w.release.tag_name for w in windows] == ["r2", "r3"]
 
 
@@ -115,7 +107,7 @@ def test_fewer_than_two_releases_yields_nothing():
 def test_equal_time_release_skipped_with_warning(caplog):
     releases = [Release("r1", 100, 1), Release("r2", 100, 2), Release("r3", 200, 3)]
     with caplog.at_level(logging.WARNING):
-        windows = build_windows(releases, [_rec("c1", 150, "a.py")], post_days=1)
+        windows = build_windows(releases, [_rec("c1", 150, "a.py")], Config(post_days=1))
     assert [w.release.tag_name for w in windows] == ["r3"]
     assert any("r2" in message for message in caplog.messages)
     # r3's window still starts at r2's time
@@ -128,29 +120,21 @@ def test_right_censoring_uses_all_records():
     base = [_rec("c1", 50, "a.py")]
     # a later non-source record still proves the horizon was observable
     covered = base + [_rec("c2", horizon_end, "README.md")]
-    (w1,) = build_windows(releases, base, post_days=1)
-    (w2,) = build_windows(releases, covered, post_days=1)
+    (w1,) = build_windows(releases, base, Config(post_days=1))
+    (w2,) = build_windows(releases, covered, Config(post_days=1))
     assert w1.right_censored is True
     assert w2.right_censored is False
-
-
-def test_invalid_post_days():
-    releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
-    with pytest.raises(ValueError):
-        build_windows(releases, [], post_days=0)
 
 
 def test_qualify_window_threshold():
     releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
     records = [_rec("c1", 50, f"f{i}.py") for i in range(3)]
-    (window,) = build_windows(releases, records, post_days=1)
+    (window,) = build_windows(releases, records, Config(post_days=1))
     assert qualify_window(window) is True
-    assert qualify_window(window, min_files=4) is False
+    assert qualify_window(window, Config(min_files=4)) is False
 
 
 def test_defect_counts_empty_window():
-    counts = DefectCounts(per_file={})
-    assert counts.defective_files == 0
     releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
-    (window,) = build_windows(releases, [], post_days=1)
+    (window,) = build_windows(releases, [], Config(post_days=1))
     assert count_post_defects(window, []).per_file == {}
