@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import DEFAULTS, Config
-from .ingest import CacheError, ChangeRecord, Release, read_utf8_lines
+from .ingest import CacheError, ChangeRecord, Release, utf8_lines
 from .metrics import BELIEF_IDS, BeliefVector, compute_all
 from .stats import (
     RankedGroup,
@@ -391,6 +391,14 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _finite(text: str) -> float:
+    """A float that is neither nan nor infinite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _belief(text: str) -> str:
     if text not in BELIEF_IDS:
         raise ValueError(f"unknown belief {text!r}")
@@ -426,10 +434,10 @@ _EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _in
 _SUMMARY = (
     ("project", str),
     ("commits", _integer),
-    ("bug_fix_fraction", float),
+    ("bug_fix_fraction", _finite),
     ("releases", _integer),
     ("developers", _integer),
-    ("active_years", float),
+    ("active_years", _finite),
 )
 
 
@@ -463,30 +471,24 @@ def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> l
     """
     columns = [name for name, _ in table]
     parsers = [parse for _, parse in table]
-
-    def parse_rows(path: Path, lines: Iterable[str]) -> list:
-        rows = []
-        reader = csv.reader(lines)
-        try:
-            if next(reader, None) != columns:
-                raise CacheError(path, 1, f"header is not {','.join(columns)}")
-            for fields in reader:
-                if not fields:
-                    continue
-                if len(fields) != len(parsers):
-                    raise CacheError(
-                        path, reader.line_num, f"{len(fields)} fields, expected {len(parsers)}"
-                    )
-                rows.append(row_type(*[parse(text) for parse, text in zip(parsers, fields)]))
-        except UnicodeDecodeError:  # a ValueError subclass; read_utf8_lines handles it
-            raise
-        except csv.Error as exc:
-            raise CacheError(path, reader.line_num, str(exc)) from exc
-        except ValueError as exc:
-            raise CacheError(path, reader.line_num, f"bad field value: {exc}") from exc
-        return rows
-
-    return read_utf8_lines(path, parse_rows, newline="")
+    rows = []
+    reader = csv.reader(utf8_lines(path, newline=""))
+    try:
+        if next(reader, None) != columns:
+            raise CacheError(path, 1, f"header is not {','.join(columns)}")
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(parsers):
+                raise CacheError(
+                    path, reader.line_num, f"{len(fields)} fields, expected {len(parsers)}"
+                )
+            rows.append(row_type(*[parse(text) for parse, text in zip(parsers, fields)]))
+    except csv.Error as exc:
+        raise CacheError(path, reader.line_num, str(exc)) from exc
+    except ValueError as exc:
+        raise CacheError(path, reader.line_num, f"bad field value: {exc}") from exc
+    return rows
 
 
 def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> None:

@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -43,17 +44,8 @@ from .synthgen import ScenarioError, generate, parse_scenario_file
 logger = logging.getLogger(__name__)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; this tool reserves 2 for
-    sanity rejections, so usage errors are remapped to 1."""
-
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="beliefminer",
         description=(
             "Mine a git repository and quantify per-release support for ten"
@@ -62,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
     mine = subparsers.add_parser(
         "mine", parents=[common], help="extract history and release caches from a repo"
@@ -183,13 +175,33 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
+def _count(name: str, value: object) -> int:
+    """A summary.json count: a non-negative JSON integer, not a bool or float."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} = {value!r} is not a non-negative integer")
+    return value
+
+
+def _number(name: str, value: object, high: float) -> float:
+    """A summary.json number: finite and in [0, high], as a float."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) and 0 <= number <= high):
+        raise ValueError(f"{name} = {value!r} is not a finite number in [0, {high}]")
+    return number
+
+
 def _project_summary(
     project_id: str, project_dir: Path, records: list[ChangeRecord], releases: list[Release]
 ) -> SummaryRow:
     """Per-project totals from the mining-time summary.json; when it is
     absent (e.g. synthetic caches), from ingest.summarize over counts
     recomputed from the cached records, in which commits that touched no
-    files are invisible. A malformed summary.json raises CacheError."""
+    files are invisible. A malformed summary.json, or one with a count that
+    is not a non-negative integer or a fraction or year span out of range,
+    raises CacheError."""
     summary_json = project_dir / "summary.json"
     if summary_json.exists():
         with open(summary_json, "r", encoding="utf-8") as fh:
@@ -214,11 +226,11 @@ def _project_summary(
     try:
         return SummaryRow(
             project_id=project_id,
-            commits=int(payload["commits"]),
-            bug_fix_fraction=float(payload["bug_fix_fraction"]),
-            releases=int(payload.get("releases", len(releases))),
-            developers=int(payload["developers"]),
-            active_years=float(payload["active_years"]),
+            commits=_count("commits", payload["commits"]),
+            bug_fix_fraction=_number("bug_fix_fraction", payload["bug_fix_fraction"], 1.0),
+            releases=_count("releases", payload.get("releases", len(releases))),
+            developers=_count("developers", payload["developers"]),
+            active_years=_number("active_years", payload["active_years"], math.inf),
         )
     except KeyError as exc:
         raise CacheError(summary_json, 1, f"missing field {exc}") from exc
@@ -316,9 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except SystemExit as exc:  # --help exits 0; this tool reserves 2 for sanity rejections
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except (ConfigError, ScenarioError, CacheError, RepositoryError, OSError) as exc:

@@ -8,12 +8,13 @@ JSON-lines cache files that the rest of the pipeline consumes.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
 import re
 import subprocess
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,19 +57,21 @@ class CacheError(Exception):
         self.reason = reason
 
 
-def read_utf8_lines(path: str | Path, parse: Callable, newline: str | None = None):
-    """parse(path, lines) over the lines of a UTF-8 text file, as open()
-    yields them in this newline mode; returns what parse returns.
+def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
+    """Yield the lines of a UTF-8 text file, as open() yields them in this
+    newline mode.
 
     Text mode decodes a chunk at a time, so invalid UTF-8 can surface before
-    parse has seen the earlier lines of its chunk. The lines before the
-    first undecodable one are then parsed again, so a CacheError among them
-    is raised first; otherwise the CacheError names the undecodable line
-    (counted as text mode counts).
+    the earlier lines of its chunk are yielded. Those lines are then yielded
+    from the file's valid byte prefix, so a consumer's error among them comes
+    first; after them, CacheError names the undecodable line (counted as
+    text mode counts).
     """
+    yielded = 0
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            return parse(path, fh)
+            for yielded, line in enumerate(fh, start=1):
+                yield line
     except UnicodeDecodeError as exc:
         data = Path(path).read_bytes()
         lines = data.splitlines(keepends=True)
@@ -83,7 +86,7 @@ def read_utf8_lines(path: str | Path, parse: Callable, newline: str | None = Non
         else:  # the file changed since it failed
             raise CacheError(path, len(lines), "invalid UTF-8") from exc
         head = io.TextIOWrapper(io.BytesIO(data[:head_size]), encoding="utf-8", newline=newline)
-        parse(path, head)
+        yield from itertools.islice(head, yielded, None)
         raise error from exc
 
 
@@ -257,7 +260,9 @@ def mine_repository(
     args.append("HEAD")
 
     records: list[ChangeRecord] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    # git log lists each commit once, so a path can repeat only within one
+    # commit: the set holds the open commit's paths
+    seen_paths: set[str] = set()
     commits = fixes = skipped = collided = 0
     authors: set[str] = set()
     first_time: int | None = None
@@ -274,6 +279,7 @@ def mine_repository(
                 continue
             if field[0] == "\x01":
                 commit_id = None
+                seen_paths.clear()
                 header = field[1:].split("\x02", 4)
                 if len(header) != 5:
                     skipped += 1
@@ -307,11 +313,10 @@ def mine_repository(
             # binary files report "-"; count them as zero-churn touches
             insertions = 0 if raw_ins == "-" else int(raw_ins)
             deletions = 0 if raw_del == "-" else int(raw_del)
-            key = (commit_id, path)
-            if key in seen_pairs:
+            if path in seen_paths:
                 collided += 1
                 continue
-            seen_pairs.add(key)
+            seen_paths.add(path)
             records.append(
                 ChangeRecord(
                     commit_id=commit_id,
@@ -507,16 +512,12 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
     line goes to json.loads, which accepts what it accepts and otherwise
     raises the canonical error. The first bad line raises CacheError.
     """
-    return read_utf8_lines(path, _history_records)
-
-
-def _history_records(path: str | Path, lines: Iterable[str]) -> list[ChangeRecord]:
     records: list[ChangeRecord] = []
     strings: dict[str, str] = {}
     share = strings.setdefault
     canonical = _CANONICAL_HISTORY_LINE.fullmatch
     new_record = tuple.__new__
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(utf8_lines(path), start=1):
         match = canonical(line)
         if match is not None:
             commit_id, commit_time, author, file_path, insertions, deletions, flag = (
@@ -580,21 +581,8 @@ def read_releases(path: str | Path) -> list[Release]:
     """Read a releases cache. Field errors come first, in file order; then
     the first line whose ordinal is not its position, then the first line
     whose time is earlier than the line before."""
-    numbered = read_utf8_lines(path, _numbered_releases)
-    releases = [release for _, release in numbered]
-    for position, (line_no, release) in enumerate(numbered, start=1):
-        if release.ordinal != position:
-            raise CacheError(path, line_no, "release ordinals are not 1..N in order")
-    for (_, earlier), (line_no, later) in zip(numbered, numbered[1:]):
-        if later.release_time < earlier.release_time:
-            raise CacheError(path, line_no, "release times are not sorted")
-    return releases
-
-
-def _numbered_releases(path: str | Path, lines: Iterable[str]) -> list[tuple[int, Release]]:
-    """(line number, release) for each non-blank line."""
-    numbered = []
-    for line_no, line in enumerate(lines, start=1):
+    numbered: list[tuple[int, Release]] = []
+    for line_no, line in enumerate(utf8_lines(path), start=1):
         if not line.strip():
             continue
         obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
@@ -607,4 +595,11 @@ def _numbered_releases(path: str | Path, lines: Iterable[str]) -> list[tuple[int
         except (TypeError, ValueError, OverflowError) as exc:
             raise CacheError(path, line_no, f"bad field value: {exc}") from exc
         numbered.append((line_no, release))
-    return numbered
+    releases = [release for _, release in numbered]
+    for position, (line_no, release) in enumerate(numbered, start=1):
+        if release.ordinal != position:
+            raise CacheError(path, line_no, "release ordinals are not 1..N in order")
+    for (_, earlier), (line_no, later) in zip(numbered, numbered[1:]):
+        if later.release_time < earlier.release_time:
+            raise CacheError(path, line_no, "release times are not sorted")
+    return releases

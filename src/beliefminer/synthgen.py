@@ -63,6 +63,9 @@ class ScenarioSpec:
     bug_fix_rate: float = 0.15
     post_days: int = DEFAULTS.post_days
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.releases < 2:
             raise ScenarioError("releases: must be >= 2")
@@ -76,10 +79,18 @@ class ScenarioSpec:
             )
         if not 0.0 <= self.planted_strength <= 1.0:
             raise ScenarioError("planted_strength: must lie in [0, 1]")
+        # numpy seeds only from non-negative integers
+        if self.noise_seed < 0:
+            raise ScenarioError("noise_seed: must be >= 0")
         if not 0.0 <= self.bug_fix_rate <= 1.0:
             raise ScenarioError("bug_fix_rate: must lie in [0, 1]")
         if self.post_days < 1:
             raise ScenarioError("post_days: must be >= 1")
+        # commit times are drawn as signed 64-bit integers
+        if _last_time(self) >= 2**63:
+            raise ScenarioError(
+                "post_days: too large; the last commit time must stay below 2**63"
+            )
         if _spacing(self) < _MIN_SPACING:
             raise ScenarioError(
                 "releases: too many releases to fit inside the post_days horizon"
@@ -91,6 +102,13 @@ def _spacing(spec: ScenarioSpec) -> int:
     well before the earliest window's post horizon does."""
     horizon = spec.post_days * SECONDS_PER_DAY
     return min(SECONDS_PER_DAY, horizon // (2 * max(1, spec.releases - 2)))
+
+
+def _last_time(spec: ScenarioSpec) -> int:
+    """Time of the history's last commit: a minute past the last release's
+    post horizon."""
+    last_release = _BASE_TIME + (spec.releases - 1) * _spacing(spec)
+    return last_release + spec.post_days * SECONDS_PER_DAY + 60
 
 
 def _parse_file_range(raw: str) -> tuple[int, int]:
@@ -114,13 +132,12 @@ _SCENARIO_PARSERS = {
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioSpec:
-    """Parse a flat key = value scenario file into a validated spec."""
+    """Parse a flat key = value scenario file into a spec, which validates
+    itself."""
     values = read_key_values(path, _SCENARIO_PARSERS, ScenarioError)
     if "files_per_release" in values:
         values["files_min"], values["files_max"] = values.pop("files_per_release")
-    spec = ScenarioSpec(**values)  # type: ignore[arg-type]
-    spec.validate()
-    return spec
+    return ScenarioSpec(**values)  # type: ignore[arg-type]
 
 
 def _plant_xy(
@@ -213,35 +230,33 @@ def generate(spec: ScenarioSpec) -> tuple[list[ChangeRecord], list[Release]]:
     ordinals 1..R; both satisfy every cache-format invariant, so the output
     is interchangeable with mined data.
     """
-    spec.validate()
     mix = calibrate_mix(spec)
     rng = np.random.default_rng(spec.noise_seed)
+    belief = spec.planted_belief
     horizon = spec.post_days * SECONDS_PER_DAY
     spacing = _spacing(spec)
     release_times = [
         _BASE_TIME + (r - 1) * spacing for r in range(1, spec.releases + 1)
     ]
     releases = [
-        Release(tag_name=f"r{r:04d}", release_time=release_times[r - 1], ordinal=r)
-        for r in range(1, spec.releases + 1)
+        Release(tag_name=f"r{r:04d}", release_time=time, ordinal=r)
+        for r, time in enumerate(release_times, start=1)
     ]
     # the tail must sit after the last release yet inside the earliest
     # (hence every) window's post horizon
     tail_low = release_times[-1] + 60
     tail_high = release_times[1] + horizon - 60
-    exact = spec.planted_belief is not None and spec.planted_strength >= 1.0
+    exact = belief is not None and spec.planted_strength >= 1.0
 
     records: list[ChangeRecord] = []
-    commit_counter = 0
-
-    def next_commit_id() -> str:
-        nonlocal commit_counter
-        commit_counter += 1
-        return f"{commit_counter:040x}"
 
     def add_commit(
-        time: int, path: str, insertions: int, deletions: int, author: str, fix: bool
+        time: int, path: str, insertions: int, deletions: int, author: str | None, fix: bool
     ) -> None:
+        """Record one commit; a None author is drawn from the pool, after
+        the caller's time and churn draws and before the message's."""
+        if author is None:
+            author = _AUTHOR_POOL[int(rng.integers(0, len(_AUTHOR_POOL)))]
         message = (
             _fix_message(rng, path) if fix else _neutral_message(rng, path)
         )
@@ -250,99 +265,57 @@ def generate(spec: ScenarioSpec) -> tuple[list[ChangeRecord], list[Release]]:
             raise RuntimeError(f"message vocabulary drift: {message!r}")
         records.append(
             ChangeRecord(
-                commit_id=next_commit_id(),
-                commit_time=int(time),
+                commit_id=f"{len(records) + 1:040x}",
+                commit_time=time,
                 author=author,
                 file_path=path,
-                insertions=int(insertions),
-                deletions=int(deletions),
+                insertions=insertions,
+                deletions=deletions,
                 is_bug_fix=labeled,
             )
         )
 
-    def random_author() -> str:
-        return _AUTHOR_POOL[int(rng.integers(0, len(_AUTHOR_POOL)))]
-
-    def pre_time(window: int) -> int:
-        low = release_times[window - 2] + 1  # window r spans (t_{r-1}, t_r]
-        high = release_times[window - 1]
-        return int(rng.integers(low, high + 1))
-
     planned_fixes: list[tuple[str, int]] = []
     for window in range(2, spec.releases + 1):
+        # window r spans (t_{r-1}, t_r]
+        pre_low, pre_high = release_times[window - 2] + 1, release_times[window - 1]
         n_files = int(rng.integers(spec.files_min, spec.files_max + 1))
         paths = [f"w{window:04d}/f{i:03d}.py" for i in range(n_files)]
-        if spec.planted_belief is None:
+        if belief is None:
             x = 1 + rng.integers(0, 200, size=n_files)
             y = rng.poisson(1.2, size=n_files)
         else:
-            x, y = _plant_xy(rng, n_files, spec.planted_belief, mix, exact)
-        for i, path in enumerate(paths):
+            x, y = _plant_xy(rng, n_files, belief, mix, exact)
+        for path, value, fix_count in zip(paths, x.tolist(), y.tolist()):
             flagged_fix = bool(rng.random() < spec.bug_fix_rate)
-            if spec.planted_belief == "B2":
-                author_count = int(x[i])
-                chosen = rng.permutation(len(_AUTHOR_POOL))[:author_count]
-                for author_index in chosen:
-                    add_commit(
-                        pre_time(window),
-                        path,
-                        int(1 + rng.integers(0, 50)),
-                        int(rng.integers(0, 20)),
-                        _AUTHOR_POOL[int(author_index)],
-                        flagged_fix,
-                    )
-            elif spec.planted_belief == "B8":
-                for _ in range(int(x[i])):
-                    add_commit(
-                        pre_time(window),
-                        path,
-                        int(1 + rng.integers(0, 50)),
-                        int(rng.integers(0, 20)),
-                        random_author(),
-                        flagged_fix,
-                    )
-            elif spec.planted_belief == "B9":
-                add_commit(
-                    pre_time(window),
-                    path,
-                    int(rng.integers(0, 60)),
-                    int(x[i]),
-                    random_author(),
-                    flagged_fix,
-                )
-            else:  # B3 and the null scheme both carry the value as insertions
-                add_commit(
-                    pre_time(window),
-                    path,
-                    int(x[i]),
-                    int(rng.integers(0, 60)),
-                    random_author(),
-                    flagged_fix,
-                )
-            if y[i] > 0:
-                planned_fixes.append((path, int(y[i])))
+            # B2 plants the value as distinct authors, B8 as commits; every
+            # other scheme makes one commit by a random author
+            if belief == "B2":
+                chosen = rng.permutation(len(_AUTHOR_POOL))[:value].tolist()
+                authors: list[str | None] = [_AUTHOR_POOL[i] for i in chosen]
+            else:
+                authors = [None] * (value if belief == "B8" else 1)
+            for author in authors:
+                time = int(rng.integers(pre_low, pre_high + 1))
+                if belief in ("B2", "B8"):
+                    churn = (1 + int(rng.integers(0, 50)), int(rng.integers(0, 20)))
+                elif belief == "B9":
+                    churn = (int(rng.integers(0, 60)), value)
+                else:  # B3 and the null scheme both carry the value as insertions
+                    churn = (value, int(rng.integers(0, 60)))
+                add_commit(time, path, *churn, author, flagged_fix)
+            if fix_count > 0:
+                planned_fixes.append((path, fix_count))
 
     for path, count in planned_fixes:
         for _ in range(count):
-            add_commit(
-                int(rng.integers(tail_low, tail_high + 1)),
-                path,
-                int(rng.integers(0, 8)),
-                int(1 + rng.integers(0, 8)),
-                random_author(),
-                True,
-            )
+            time = int(rng.integers(tail_low, tail_high + 1))
+            churn = (int(rng.integers(0, 8)), 1 + int(rng.integers(0, 8)))
+            add_commit(time, path, *churn, None, True)
 
     # a trailing neutral commit past the farthest horizon marks the history
     # as fully observed; without it every window would read as censored
-    add_commit(
-        release_times[-1] + horizon + 60,
-        "meta/observed.py",
-        1,
-        0,
-        random_author(),
-        False,
-    )
+    add_commit(_last_time(spec), "meta/observed.py", 1, 0, None, False)
 
     records.sort(key=lambda r: (r.commit_time, r.commit_id, r.file_path))
     return records, releases

@@ -137,6 +137,8 @@ def test_usage_errors_exit_one(capsys):
     assert main(["conquer"]) == 1
     assert main(["mine", "somewhere"]) == 1  # --out is required
     assert main(["assess", "--out", "x"]) == 1  # caches argument missing
+    assert main(["--help"]) == 0
+    assert main(["mine", "--help"]) == 0
     capsys.readouterr()
 
 
@@ -335,11 +337,52 @@ def test_assess_invalid_utf8_is_a_data_error(tmp_path, data_dir, capsys, cache):
     assert not (tmp_path / "o").exists()
 
 
+def _summary_json(**raw_values):
+    """A summary.json text: valid fields, with some replaced by raw JSON text."""
+    fields = {
+        "commits": "20",
+        "bug_fix_fraction": "0.45",
+        "releases": "5",
+        "developers": "3",
+        "active_years": "0.9",
+        **raw_values,
+    }
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+
+
 @pytest.mark.parametrize(
     "text, reason",
     [
         pytest.param('{"commits": 3', "1: invalid JSON: Expecting ','", id="truncated"),
         pytest.param('{"commits": 3}', "1: missing field 'bug_fix_fraction'", id="missing-field"),
+        pytest.param(
+            '{"commits": true, "bug_fix_fraction": NaN, "developers": -3, "releases": 5.9,'
+            ' "active_years": Infinity}',
+            "1: bad field value: commits = True is not a non-negative integer",
+            id="bool-count",
+        ),
+        *(
+            pytest.param(
+                _summary_json(**{key: value}),
+                f"1: bad field value: {key} = ",
+                id=f"{key}-{value[:12]}",
+            )
+            for key, value in [
+                ("commits", '"20"'),
+                ("commits", "20.0"),
+                ("releases", "5.9"),
+                ("developers", "-3"),
+                ("developers", "-1"),
+                ("bug_fix_fraction", "NaN"),
+                ("bug_fix_fraction", "1.0000001"),
+                ("bug_fix_fraction", "-0.0001"),
+                ("bug_fix_fraction", "true"),
+                ("active_years", "Infinity"),
+                ("active_years", "1e400"),
+                ("active_years", "1" + "0" * 400),
+                ("active_years", "-1e-9"),
+            ]
+        ),
     ],
 )
 def test_assess_malformed_summary_is_a_data_error(tmp_path, data_dir, capsys, text, reason):
@@ -350,6 +393,19 @@ def test_assess_malformed_summary_is_a_data_error(tmp_path, data_dir, capsys, te
     stderr = capsys.readouterr().err
     assert f"error: {caches / 'summary.json'}:{reason}" in stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_assess_accepts_summary_boundary_values(tmp_path, data_dir, capsys):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    boundary = _summary_json(
+        commits="0", bug_fix_fraction="1", releases="0", developers="0", active_years="0"
+    )
+    (caches / "summary.json").write_text(boundary, encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    summary = (tmp_path / "o" / "summary.csv").read_text(encoding="utf-8")
+    assert summary.splitlines()[1] == "fixture,0,1.0,0,0,0.0"
 
 
 def test_assess_checks_every_releases_cache_first(tmp_path, data_dir, capsys, monkeypatch):
@@ -497,6 +553,16 @@ _MALFORMED_ASSESSMENTS = {
         .replace(b"fixture,4,", b"fixture\xff,4,"),
         3,
     ),
+    "nan-fraction": (
+        "summary.csv",
+        lambda text: text.replace(",0.45,", ",nan,").encode(),
+        2,
+    ),
+    "infinite-active-years": (
+        "summary.csv",
+        lambda text: text.replace(",0.9034907597535934", ",inf").encode(),
+        2,
+    ),
     "field-over-csv-limit": (
         "summary.csv",
         lambda text: text.replace("fixture,", "f" * 200_000 + ",").encode(),
@@ -621,6 +687,26 @@ def test_synth_bad_scenario(tmp_path, capsys):
     scenario.write_text("planted_belief = B6\n", encoding="utf-8")
     assert main(["synth", str(scenario), "--out", str(tmp_path / "o")]) == 1
     assert "planted_belief" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, field",
+    [
+        pytest.param("noise_seed = -1\n", "noise_seed", id="negative-seed"),
+        pytest.param(
+            "releases = 3\nfiles_per_release = 2\npost_days = 1000000000000000\n",
+            "post_days",
+            id="horizon-past-64-bits",
+        ),
+    ],
+)
+def test_synth_out_of_range_scenario_exits_one(tmp_path, capsys, body, field):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(body, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", str(scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 def test_synth_missing_scenario(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests for the synthetic history generator and its planted effects."""
 
+import hashlib
+import itertools
 import statistics
 
 import pytest
@@ -36,6 +38,13 @@ def _window_rhos(records, releases, spec, metric):
 # --- spec validation -----------------------------------------------------------
 
 
+# With three releases the last one is two days after the first, and the
+# last commit a minute past its horizon: the largest post_days that keeps
+# that commit time below 2**63.
+_THREE_RELEASES = {"releases": 3, "files_min": 2, "files_max": 2}
+_MAX_POST_DAYS = 106_751_991_149_937
+
+
 @pytest.mark.parametrize(
     "kwargs,field",
     [
@@ -48,17 +57,27 @@ def _window_rhos(records, releases, spec, metric):
         ({"bug_fix_rate": 1.5}, "bug_fix_rate"),
         ({"post_days": 0}, "post_days"),
         ({"releases": 400, "post_days": 2}, "releases"),  # spacing infeasible
+        ({"noise_seed": -1}, "noise_seed"),
+        ({"noise_seed": -(2**70)}, "noise_seed"),
+        ({**_THREE_RELEASES, "post_days": _MAX_POST_DAYS + 1}, "post_days"),
+        ({**_THREE_RELEASES, "post_days": 10**15}, "post_days"),
     ],
 )
 def test_spec_validation_names_field(kwargs, field):
     with pytest.raises(ScenarioError) as excinfo:
-        ScenarioSpec(**kwargs).validate()
-    assert field in str(excinfo.value)
+        ScenarioSpec(**kwargs)
+    assert str(excinfo.value).startswith(f"{field}: ")
+
+
+def test_spec_boundary_values_generate():
+    assert generate(ScenarioSpec(**_THREE_RELEASES, noise_seed=0))
+    records, _ = generate(ScenarioSpec(**_THREE_RELEASES, post_days=_MAX_POST_DAYS))
+    assert 2**63 - 86400 < records[-1].commit_time < 2**63
 
 
 def test_unsupported_belief_error_lists_options():
     with pytest.raises(ScenarioError) as excinfo:
-        ScenarioSpec(planted_belief="B1").validate()
+        ScenarioSpec(planted_belief="B1")
     message = str(excinfo.value)
     for belief in SUPPORTED_BELIEFS:
         assert belief in message
@@ -156,6 +175,52 @@ def test_generate_is_deterministic():
         ScenarioSpec(releases=10, files_min=6, files_max=9, noise_seed=6)
     )
     assert different != first
+
+
+# The sha256 of write_history's then write_releases's bytes for each
+# (planted belief, strength, bug_fix_rate); releases = 6, 4..7 files per
+# release, noise_seed = 3. The generator's rng draw order is part of its
+# output, so any change to it shows here.
+_PINNED_OUTPUTS = {
+    ("B2", 0.6, 0.0): "b97cd8d108508918a24ca0425a97983ec4abd37a4d11a34df5d9c24a13657fef",
+    ("B2", 0.6, 0.15): "4666aed72a98f3ae1ea8c9764d303b7baac193497c2633d59a2caa61a3a18e19",
+    ("B2", 1.0, 0.0): "0b562d5fc9cacc101045437dd349c14dce71bf46516fd6082c067ca324a9c700",
+    ("B2", 1.0, 0.15): "97e063834ceccff6f91d12b5c05c3b3c37b6be94d2260832264d3f2b73033366",
+    ("B3", 0.6, 0.0): "1940d45310b193e7579aac7eaa3af3323923cef45b0cdb6cf1e1752c1c283058",
+    ("B3", 0.6, 0.15): "ed40278af7852fea91feb8ffe0b0c4ac4fac14eb9bcb7f8622b0db3bcf2dfb1c",
+    ("B3", 1.0, 0.0): "9f35063a6192a7f7d6dd7a14f0413969d52d0f1c0c2db080fe86689b21abdff7",
+    ("B3", 1.0, 0.15): "60f67836fcf1e92436ba42c5eb90f9947f6c4d5d2f2b1571f73889ca0246c95b",
+    ("B8", 0.6, 0.0): "8d2ffb27899cb293b1ae0de865196520a7513a1a9fb8bf708b0f0b31acdc7a29",
+    ("B8", 0.6, 0.15): "5762782ded698e8e109cc72e79d3f3726164803f0bb5e3e07978e2f960d1b05b",
+    ("B8", 1.0, 0.0): "7c8eb2eb2cc9c5a775aca079a04e2c00c469d5e7a8f52f4937ba5313049d44d2",
+    ("B8", 1.0, 0.15): "9c05db2f6b8c8dbde6ebc487abfd5bbecea2698fce2ea9c2e41bf92601848d33",
+    ("B9", 0.6, 0.0): "5b5e4c4778b4168c29e193f217ca08dc2fb854181745258c06d0dce920c796d4",
+    ("B9", 0.6, 0.15): "f97f5b422c885bfee9cc8a47387d2b35d9a5f08550149d522c8fd9450ed19415",
+    ("B9", 1.0, 0.0): "c987d964cd6ef59e7de4dbcfa0806b88324bbc4380d51884499f58733d5c933c",
+    ("B9", 1.0, 0.15): "1ce847ed354399745ea64333d0ccfdb86c41805d17e5744b91af8ac349ff9123",
+    (None, 0.6, 0.0): "ce8a04ddc66ed101fe8fc0f63597bc6181cd206b6950110aeabff51f5d034faf",
+    (None, 0.6, 0.15): "307b63c40d04699e0aab2846825d7d5ab06f7e44673f1ad6c46941a71d84fd8f",
+    (None, 1.0, 0.0): "ce8a04ddc66ed101fe8fc0f63597bc6181cd206b6950110aeabff51f5d034faf",
+    (None, 1.0, 0.15): "307b63c40d04699e0aab2846825d7d5ab06f7e44673f1ad6c46941a71d84fd8f",
+}
+
+
+@pytest.mark.parametrize(
+    "belief,strength,rate",
+    list(itertools.product((*SUPPORTED_BELIEFS, None), (0.6, 1.0), (0.0, 0.15))),
+)
+def test_generate_output_bytes_are_pinned(tmp_path, belief, strength, rate):
+    spec = ScenarioSpec(
+        releases=6, files_min=4, files_max=7, planted_belief=belief,
+        planted_strength=strength, bug_fix_rate=rate, noise_seed=3,
+    )
+    records, releases = generate(spec)
+    write_history(records, tmp_path / "history.jsonl")
+    write_releases(releases, tmp_path / "releases.jsonl")
+    digest = hashlib.sha256(
+        (tmp_path / "history.jsonl").read_bytes() + (tmp_path / "releases.jsonl").read_bytes()
+    ).hexdigest()
+    assert digest == _PINNED_OUTPUTS[belief, strength, rate]
 
 
 def test_generate_output_passes_cache_validation(tmp_path):
