@@ -391,11 +391,34 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _count(text: str) -> int:
+    """A non-negative integer as the writers spell it: ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _finite(text: str) -> float:
     """A float that is neither nan nor infinite."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _fraction(text: str) -> float:
+    """A finite float in [0, 1]."""
+    value = _finite(text)
+    if not 0 <= value <= 1:
+        raise ValueError(f"not in [0, 1]: {text!r}")
+    return value
+
+
+def _span(text: str) -> float:
+    """A finite float >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
     return value
 
 
@@ -431,13 +454,14 @@ _WINDOWS = (
     ("qualified", _flag),
 )
 _EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _integer))
+# summary.csv is read by the rules assess checks summary.json by.
 _SUMMARY = (
     ("project", str),
-    ("commits", _integer),
-    ("bug_fix_fraction", _finite),
-    ("releases", _integer),
-    ("developers", _integer),
-    ("active_years", _finite),
+    ("commits", _count),
+    ("bug_fix_fraction", _fraction),
+    ("releases", _count),
+    ("developers", _count),
+    ("active_years", _span),
 )
 
 

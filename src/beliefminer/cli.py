@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -21,7 +22,7 @@ from .analysis import (
     write_summary_csv,
     write_windows_csv,
 )
-from .config import DEFAULTS, Config, ConfigError, load_config
+from .config import DEFAULTS, Config, ConfigError, ScenarioError, load_config
 from .ingest import (
     CacheError,
     ChangeRecord,
@@ -39,7 +40,11 @@ from .ingest import (
 )
 from .labeling import KeywordSet, load_keyword_file
 from .reporting import build_report, write_report
-from .synthgen import ScenarioError, generate, parse_scenario_file
+
+# Everything imported so far lives until exit. Freezing it once, here rather
+# than in main, keeps every later collection (and the one at interpreter exit)
+# from scanning it again, without freezing the objects of in-process callers.
+gc.freeze()
 
 logger = logging.getLogger(__name__)
 
@@ -305,6 +310,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only synth needs the generator; the other stages skip loading it.
+    from .synthgen import generate, parse_scenario_file
+
     spec = parse_scenario_file(args.scenario)
     records, releases = generate(spec)
     out_dir = Path(args.out)

@@ -51,6 +51,10 @@ class ConfigError(ValueError):
     """A config file or value is invalid; message names the offending key."""
 
 
+class ScenarioError(Exception):
+    """A scenario file or field is invalid; message names the field."""
+
+
 @dataclass(frozen=True)
 class Config:
     """Every tunable of a run; validated on construction, so

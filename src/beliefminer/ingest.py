@@ -56,6 +56,11 @@ class CacheError(Exception):
         self.line_no = line_no
         self.reason = reason
 
+    def __reduce__(self):
+        # Exception pickles its args, the formatted message, which __init__
+        # cannot take back; rebuild from the three fields instead.
+        return (type(self), (self.path, self.line_no, self.reason))
+
 
 def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
     """Yield the lines of a UTF-8 text file, as open() yields them in this

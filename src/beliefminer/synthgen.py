@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS, SECONDS_PER_DAY, read_key_values
+from .config import DEFAULTS, SECONDS_PER_DAY, ScenarioError, read_key_values
 from .ingest import ChangeRecord, Release
 from .labeling import DEFAULT_STEMS, classify_message
 from .stats import spearman
@@ -44,10 +44,6 @@ _NEUTRAL_WORDS = (
 )
 _CALIBRATION_TOLERANCE = 0.04
 _PROBE_WINDOWS = 48
-
-
-class ScenarioError(Exception):
-    """A scenario file or field is invalid; message names the field."""
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Commands run in-process through main(); byte-level golden comparisons pin
 the full mine -> assess -> report chain on the fixture repository.
 """
 
+import gc
 import inspect
 import json
 import os
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 import beliefminer
+import beliefminer.config
+import beliefminer.synthgen
 from beliefminer import analysis, cli, metrics, reporting
 from beliefminer.cli import main
 from beliefminer.config import DEFAULTS, load_config
@@ -568,6 +571,36 @@ _MALFORMED_ASSESSMENTS = {
         lambda text: text.replace("fixture,", "f" * 200_000 + ",").encode(),
         2,
     ),
+    "negative-commits": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,-20,0.45,5,3,0.9").encode(),
+        2,
+    ),
+    "negative-releases": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,0.45,-5,3,0.9").encode(),
+        2,
+    ),
+    "negative-developers": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,0.45,5,-3,0.9").encode(),
+        2,
+    ),
+    "fraction-above-one": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,1.45,5,3,0.9").encode(),
+        2,
+    ),
+    "negative-fraction": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,-0.45,5,3,0.9").encode(),
+        2,
+    ),
+    "negative-active-years": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,0.45,5,3,-1.5").encode(),
+        2,
+    ),
 }
 
 
@@ -583,6 +616,20 @@ def test_report_on_malformed_assessment_names_line(tmp_path, data_dir, capsys, c
     stderr = capsys.readouterr().err
     assert f"error: {path}:{line_no}: " in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["fixture,0,0.0,0,0,0.0", "fixture,20,1.0,5,3,1e3"],
+    ids=["lower-bounds", "upper-fraction"],
+)
+def test_report_accepts_summary_at_bounds(tmp_path, data_dir, capsys, row):
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    summary = assessment / "summary.csv"
+    summary.write_text(_replace_line(summary.read_text(encoding="utf-8"), 2, row), encoding="utf-8")
+    assert main(["report", str(assessment), "--out", str(tmp_path / "report")]) == 0
+    capsys.readouterr()
 
 
 # --- configuration wiring ------------------------------------------------------
@@ -747,6 +794,33 @@ def test_cli_import_loads_stdtr_without_scipy_special_package():
         "print(sorted(m for m in ('scipy.special', 'numpy.random') if m in sys.modules))"
     )
     assert _run_python(probe).strip() == "['numpy.random']"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_cli_import_freezes_heap_and_skips_synthgen(enabled):
+    # the import-time heap lives until exit, so later collections need not
+    # scan it; only synth loads the generator
+    probe = (
+        "import gc, sys\n"
+        + ("" if enabled else "gc.disable()\n")
+        + "import beliefminer.cli\n"
+        "print(gc.isenabled(), gc.get_freeze_count() > 0, 'beliefminer.synthgen' in sys.modules)"
+    )
+    assert _run_python(probe).split() == [str(enabled), "True", "False"]
+
+
+def test_main_does_not_freeze_again(tmp_path, data_dir, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("releases = 3\nfiles_per_release = 2\n", encoding="utf-8")
+    frozen = gc.get_freeze_count()
+    assert main(["synth", str(scenario), "--out", str(tmp_path / "caches")]) == 0
+    assert main(["report", str(data_dir / "fixture_assess"), "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_scenario_error_is_defined_once():
+    assert beliefminer.synthgen.ScenarioError is beliefminer.config.ScenarioError
 
 
 @pytest.mark.parametrize("special_first", [False, True], ids=["special-later", "special-first"])

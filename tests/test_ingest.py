@@ -2,6 +2,7 @@
 
 import json
 import logging
+import pickle
 import random
 import signal
 import subprocess
@@ -205,6 +206,18 @@ def test_read_history_reports_bad_line(tmp_path):
         read_history(path)
     assert excinfo.value.line_no == 2
     assert str(path) in str(excinfo.value)
+
+
+def test_cache_error_survives_pickling(tmp_path):
+    original = CacheError(tmp_path / "history.jsonl", 3, "bad field value")
+    error = pickle.loads(pickle.dumps(original))
+    assert type(error) is CacheError
+    assert str(error) == str(original) == f"{tmp_path / 'history.jsonl'}:3: bad field value"
+    assert (error.path, error.line_no, error.reason) == (
+        str(tmp_path / "history.jsonl"),
+        3,
+        "bad field value",
+    )
 
 
 def test_read_history_rejects_negative_churn(tmp_path):
