@@ -105,6 +105,45 @@ class SummaryRow(NamedTuple):
     active_years: float
 
 
+def summary_row(
+    project_id: str,
+    commits: object,
+    bug_fix_fraction: object,
+    releases: object,
+    developers: object,
+    active_years: object,
+) -> SummaryRow:
+    """A project's summary row, checked by the one set of rules that holds
+    for summary.json and summary.csv alike: each count is an int (not a
+    bool) >= 0, bug_fix_fraction a finite number in [0, 1], and active_years
+    a finite number >= 0, where an integer too large for a float is not
+    finite. The fields are checked in column order and the first bad one
+    raises ValueError; the two numbers are returned as floats."""
+
+    def count(name: str, value: object) -> int:
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{name} = {value!r} is not a non-negative integer")
+        return value
+
+    def number(name: str, value: object, high: float) -> float:
+        try:
+            real = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            real = math.inf
+        if not (math.isfinite(real) and 0 <= real <= high):
+            raise ValueError(f"{name} = {value!r} is not a finite number in [0, {high}]")
+        return real
+
+    return SummaryRow(
+        project_id,
+        count("commits", commits),
+        number("bug_fix_fraction", bug_fix_fraction, 1.0),
+        count("releases", releases),
+        count("developers", developers),
+        number("active_years", active_years, math.inf),
+    )
+
+
 @dataclass
 class ProjectAssessment:
     project_id: str
@@ -138,7 +177,6 @@ def belief_population(
             vector.x,
             vector.y,
             exact_p=True,
-            belief_id=belief_id,
             release_ordinal=window.release.ordinal,
         )
         if score.p_value >= cfg.alpha:
@@ -384,8 +422,8 @@ def growth_decay(
 
 def _integer(text: str) -> int:
     """An integer as the writers spell it: ASCII digits after an optional
-    minus (release times may be negative), so int()'s spaces and underscores
-    are rejected."""
+    minus (release times may be negative, and summary_row checks the sign of
+    summary.csv's counts), so int()'s spaces and underscores are rejected."""
     if not (text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit()))):
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
@@ -396,30 +434,6 @@ def _count(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a non-negative integer: {text!r}")
     return int(text)
-
-
-def _finite(text: str) -> float:
-    """A float that is neither nan nor infinite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {text!r}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    """A finite float in [0, 1]."""
-    value = _finite(text)
-    if not 0 <= value <= 1:
-        raise ValueError(f"not in [0, 1]: {text!r}")
-    return value
-
-
-def _span(text: str) -> float:
-    """A finite float >= 0."""
-    value = _finite(text)
-    if value < 0:
-        raise ValueError(f"negative: {text!r}")
-    return value
 
 
 def _belief(text: str) -> str:
@@ -440,28 +454,29 @@ _Table = tuple[tuple[str, Callable[[str], object]], ...]
 _POPULATIONS = (
     ("project", str),
     ("belief", _belief),
-    ("release_ordinal", _integer),
+    ("release_ordinal", _count),
     ("rho", float),
     ("p", float),
-    ("n", _integer),
+    ("n", _count),
 )
 _WINDOWS = (
     ("project", str),
-    ("release_ordinal", _integer),
+    ("release_ordinal", _count),
     ("release_time", _integer),
-    ("distinct_files", _integer),
+    ("distinct_files", _count),
     ("right_censored", _flag),
     ("qualified", _flag),
 )
-_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _integer))
-# summary.csv is read by the rules assess checks summary.json by.
+_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _count))
+# summary.csv's columns only turn text into numbers; summary_row checks
+# their ranges, as it does summary.json's.
 _SUMMARY = (
     ("project", str),
-    ("commits", _count),
-    ("bug_fix_fraction", _fraction),
-    ("releases", _count),
-    ("developers", _count),
-    ("active_years", _span),
+    ("commits", _integer),
+    ("bug_fix_fraction", float),
+    ("releases", _integer),
+    ("developers", _integer),
+    ("active_years", float),
 )
 
 
@@ -546,7 +561,7 @@ def read_populations_csv(path: Path) -> list[BeliefPopulation]:
         _POPULATIONS,
         lambda project, belief, ordinal, rho, p, n: (
             (project, belief),
-            SupportScore(rho, p, n, belief_id=belief, release_ordinal=ordinal),
+            SupportScore(rho, p, n, release_ordinal=ordinal),
         ),
     )
     grouped: dict[tuple[str, str], list[SupportScore]] = defaultdict(list)
@@ -592,4 +607,4 @@ def write_summary_csv(rows: list[SummaryRow], path: Path) -> None:
 
 
 def read_summary_csv(path: Path) -> list[SummaryRow]:
-    return _read_table(path, _SUMMARY, SummaryRow)
+    return _read_table(path, _SUMMARY, summary_row)

@@ -10,13 +10,13 @@ import dataclasses
 import gc
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from .analysis import (
     SummaryRow,
     assess_project,
+    summary_row,
     write_exclusions_csv,
     write_populations_csv,
     write_summary_csv,
@@ -180,32 +180,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count(name: str, value: object) -> int:
-    """A summary.json count: a non-negative JSON integer, not a bool or float."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{name} = {value!r} is not a non-negative integer")
-    return value
-
-
-def _number(name: str, value: object, high: float) -> float:
-    """A summary.json number: finite and in [0, high], as a float."""
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not (math.isfinite(number) and 0 <= number <= high):
-        raise ValueError(f"{name} = {value!r} is not a finite number in [0, {high}]")
-    return number
-
-
 def _project_summary(
     project_id: str, project_dir: Path, records: list[ChangeRecord], releases: list[Release]
 ) -> SummaryRow:
     """Per-project totals from the mining-time summary.json; when it is
     absent (e.g. synthetic caches), from ingest.summarize over counts
     recomputed from the cached records, in which commits that touched no
-    files are invisible. A malformed summary.json, or one with a count that
-    is not a non-negative integer or a fraction or year span out of range,
+    files are invisible. A malformed summary.json, one missing any of the
+    five fields, or one with a value that analysis.summary_row rejects,
     raises CacheError."""
     summary_json = project_dir / "summary.json"
     if summary_json.exists():
@@ -229,17 +211,17 @@ def _project_summary(
         )
         payload = dataclasses.asdict(summarize(tally, releases))
     try:
-        return SummaryRow(
-            project_id=project_id,
-            commits=_count("commits", payload["commits"]),
-            bug_fix_fraction=_number("bug_fix_fraction", payload["bug_fix_fraction"], 1.0),
-            releases=_count("releases", payload.get("releases", len(releases))),
-            developers=_count("developers", payload["developers"]),
-            active_years=_number("active_years", payload["active_years"], math.inf),
+        return summary_row(
+            project_id,
+            commits=payload["commits"],
+            bug_fix_fraction=payload["bug_fix_fraction"],
+            releases=payload["releases"],
+            developers=payload["developers"],
+            active_years=payload["active_years"],
         )
     except KeyError as exc:
         raise CacheError(summary_json, 1, f"missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CacheError(summary_json, 1, f"bad field value: {exc}") from exc
 
 

@@ -81,7 +81,6 @@ class SupportScore:
     rho: float
     p_value: float
     n: int
-    belief_id: str | None = None
     release_ordinal: int | None = None
 
     def __post_init__(self) -> None:
@@ -221,7 +220,6 @@ def spearman(
     x: list[float],
     y: list[float],
     exact_p: bool = True,
-    belief_id: str | None = None,
     release_ordinal: int | None = None,
 ) -> SupportScore:
     """Spearman correlation: Pearson over average ranks.
@@ -237,7 +235,7 @@ def spearman(
     if n < 2:
         raise ValueError("need at least 2 observations")
     if min(x) == max(x) or min(y) == max(y):
-        return SupportScore(0.0, 1.0, n, belief_id, release_ordinal)
+        return SupportScore(0.0, 1.0, n, release_ordinal)
     centred_x, sum_xx = _centred(_average_ranks(x))
     centred_y, sum_yy = _y_side(y)
     den = math.sqrt(sum_xx * sum_yy)
@@ -246,7 +244,7 @@ def spearman(
         p_value = _permutation_p(centred_x, centred_y, den, rho)
     else:
         p_value = _t_approximation_p(rho, n)
-    return SupportScore(rho, p_value, n, belief_id, release_ordinal)
+    return SupportScore(rho, p_value, n, release_ordinal)
 
 
 def a12(m: list[float], n: list[float]) -> float:

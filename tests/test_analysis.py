@@ -30,6 +30,7 @@ from beliefminer.analysis import (
     read_summary_csv,
     read_windows_csv,
     size_thresholds,
+    summary_row,
     support_label,
     write_exclusions_csv,
     write_populations_csv,
@@ -57,8 +58,8 @@ def _scored_window(ordinal, x, y, belief="B3"):
     return window, BeliefVector(belief, ids, [float(v) for v in x], list(y))
 
 
-def _score(rho, p=0.001, n=6, belief="B3", ordinal=2):
-    return SupportScore(rho, p, n, belief, ordinal)
+def _score(rho, p=0.001, n=6, ordinal=2):
+    return SupportScore(rho, p, n, ordinal)
 
 
 def _population(scores, belief="B3", project="proj"):
@@ -76,7 +77,6 @@ def test_population_keeps_significant_scores():
     score = population.scores[0]
     assert score.rho == pytest.approx(1.0)
     assert score.p_value == pytest.approx(2 / math.factorial(6))
-    assert score.belief_id == "B3"
     assert score.release_ordinal == 2
     assert population.exclusions == {EXCLUDE_TOO_FEW: 0, EXCLUDE_NOT_SIGNIFICANT: 0}
 
@@ -321,10 +321,10 @@ def _spread(center, count, step=0.004):
 
 def test_rank_beliefs_orders_by_support(caplog):
     strong = [
-        _population([_score(v, belief="B2", ordinal=i + 2) for i, v in enumerate(_spread(0.85, 10))], belief="B2")
+        _population([_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.85, 10))], belief="B2")
     ]
     weak = [
-        _population([_score(v, belief="B9", ordinal=i + 2) for i, v in enumerate(_spread(0.15, 10))], belief="B9")
+        _population([_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.15, 10))], belief="B9")
     ]
     with caplog.at_level(logging.WARNING):
         groups = rank_beliefs(strong + weak, Config(seed=1))
@@ -337,8 +337,8 @@ def test_rank_beliefs_orders_by_support(caplog):
 
 def test_rank_beliefs_pools_across_projects():
     pops = [
-        _population([_score(v, belief="B2", ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p1"),
-        _population([_score(v, belief="B2", ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p2"),
+        _population([_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p1"),
+        _population([_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.8, 6))], belief="B2", project="p2"),
     ]
     groups = rank_beliefs(pops, Config(seed=1))
     assert len(groups) == 1
@@ -414,8 +414,8 @@ def test_bucket_windows_requires_qualified_rows():
 
 
 def test_rank_beliefs_by_size_labels_and_drops(caplog):
-    scores_small = [_score(v, belief="B3", ordinal=i + 2) for i, v in enumerate(_spread(0.82, 8))]
-    scores_large = [_score(v, belief="B3", ordinal=i + 20) for i, v in enumerate(_spread(0.18, 8))]
+    scores_small = [_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.82, 8))]
+    scores_large = [_score(v, ordinal=i + 20) for i, v in enumerate(_spread(0.18, 8))]
     population = _population(scores_small + scores_large, belief="B3", project="p")
     buckets = {("p", s.release_ordinal): BUCKET_SMALL for s in scores_small}
     buckets.update({("p", s.release_ordinal): BUCKET_LARGE for s in scores_large})
@@ -428,7 +428,7 @@ def test_rank_beliefs_by_size_labels_and_drops(caplog):
 
 
 def test_rank_beliefs_by_size_skips_unbucketed_scores():
-    scores = [_score(0.5, belief="B3", ordinal=i + 2) for i in range(4)]
+    scores = [_score(0.5, ordinal=i + 2) for i in range(4)]
     population = _population(scores, belief="B3", project="p")
     buckets = {("p", s.release_ordinal): BUCKET_NONE for s in scores}
     assert rank_beliefs_by_size([population], buckets) == []
@@ -491,7 +491,7 @@ def test_populations_csv_round_trip(tmp_path):
             belief="B3",
             project="p1",
         ),
-        _population([_score(0.9, ordinal=3, belief="B1")], belief="B1", project="p0"),
+        _population([_score(0.9, ordinal=3)], belief="B1", project="p0"),
     ]
     path = tmp_path / "populations.csv"
     write_populations_csv(populations, path)
@@ -542,3 +542,58 @@ def test_summary_csv_round_trip(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary_csv(rows, path)
     assert read_summary_csv(path) == rows
+
+
+_SUMMARY_COUNTS = ("commits", "releases", "developers")
+_SUMMARY_NUMBERS = ("bug_fix_fraction", "active_years")
+
+
+def _summary_row(**values):
+    fields = {
+        "commits": 20,
+        "bug_fix_fraction": 0.45,
+        "releases": 5,
+        "developers": 3,
+        "active_years": 0.9,
+        **values,
+    }
+    return summary_row("p", **fields)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(name, value) for name in _SUMMARY_COUNTS for value in (0, 1)]
+    + [(name, value) for name in _SUMMARY_NUMBERS for value in (0, 0.0, 1, 1.0)],
+)
+def test_summary_row_accepts_boundaries(field, value):
+    checked = getattr(_summary_row(**{field: value}), field)
+    assert checked == value
+    assert type(checked) is (int if field in _SUMMARY_COUNTS else float)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param(name, value, id=f"{name}-{text}")
+        for name in _SUMMARY_COUNTS
+        for text, value in [("True", True), ("5.0", 5.0), ("-1", -1)]
+    ]
+    + [
+        pytest.param(name, value, id=f"{name}-{text}")
+        for name in _SUMMARY_NUMBERS
+        for text, value in [
+            ("True", True),
+            ("-1", -1),
+            ("-1e-9", -1e-9),
+            ("nan", math.nan),
+            ("inf", math.inf),
+            ("10**400", 10**400),
+        ]
+    ]
+    + [pytest.param("bug_fix_fraction", 1.0000001, id="bug_fix_fraction-1.0000001")],
+)
+def test_summary_row_rejects_out_of_range(field, value):
+    rule = "non-negative integer" if field in _SUMMARY_COUNTS else "finite number in [0, "
+    with pytest.raises(ValueError) as excinfo:
+        _summary_row(**{field: value})
+    assert str(excinfo.value).startswith(f"{field} = {value!r} is not a {rule}")

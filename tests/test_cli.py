@@ -359,6 +359,11 @@ def _summary_json(**raw_values):
         pytest.param('{"commits": 3', "1: invalid JSON: Expecting ','", id="truncated"),
         pytest.param('{"commits": 3}', "1: missing field 'bug_fix_fraction'", id="missing-field"),
         pytest.param(
+            '{"commits": 20, "bug_fix_fraction": 0.45, "developers": 3, "active_years": 0.9}',
+            "1: missing field 'releases'",
+            id="missing-releases",
+        ),
+        pytest.param(
             '{"commits": true, "bug_fix_fraction": NaN, "developers": -3, "releases": 5.9,'
             ' "active_years": Infinity}',
             "1: bad field value: commits = True is not a non-negative integer",
@@ -601,6 +606,21 @@ _MALFORMED_ASSESSMENTS = {
         lambda text: _replace_line(text, 2, "fixture,20,0.45,5,3,-1.5").encode(),
         2,
     ),
+    "negative-distinct-files": (
+        "windows.csv",
+        lambda text: _replace_line(text, 3, "fixture,3,1615507200,-4,0,0").encode(),
+        3,
+    ),
+    "negative-window-ordinal": (
+        "windows.csv",
+        lambda text: _replace_line(text, 3, "fixture,-3,1615507200,1,0,0").encode(),
+        3,
+    ),
+    "negative-population-ordinal": (
+        "populations.csv",
+        lambda text: (text + "fixture,B3,-2,0.9,0.001,6\n").encode(),
+        2,
+    ),
 }
 
 
@@ -630,6 +650,22 @@ def test_report_accepts_summary_at_bounds(tmp_path, data_dir, capsys, row):
     summary.write_text(_replace_line(summary.read_text(encoding="utf-8"), 2, row), encoding="utf-8")
     assert main(["report", str(assessment), "--out", str(tmp_path / "report")]) == 0
     capsys.readouterr()
+
+
+def test_assess_and_report_check_the_summary_by_one_rule(tmp_path, data_dir, capsys):
+    reason = "bad field value: commits = -20 is not a non-negative integer"
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    (caches / "summary.json").write_text(_summary_json(commits="-20"), encoding="utf-8")
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {caches / 'summary.json'}:1: {reason}\n" in capsys.readouterr().err
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    summary = assessment / "summary.csv"
+    row = "fixture,-20,0.45,5,3,0.9"
+    summary.write_text(_replace_line(summary.read_text(encoding="utf-8"), 2, row), encoding="utf-8")
+    assert main(["report", str(assessment), "--out", str(tmp_path / "report")]) == 1
+    assert f"error: {summary}:2: {reason}\n" in capsys.readouterr().err
 
 
 # --- configuration wiring ------------------------------------------------------

@@ -299,8 +299,8 @@ def test_support_score_validation():
         SupportScore(0.5, -0.1, 5)
     with pytest.raises(ValueError):
         SupportScore(0.5, 0.5, 1)
-    score = SupportScore(0.5, 0.5, 5, belief_id="B3", release_ordinal=7)
-    assert score.belief_id == "B3"
+    score = SupportScore(0.5, 0.5, 5, release_ordinal=7)
+    assert score.release_ordinal == 7
 
 
 # --- a12 ---------------------------------------------------------------------
