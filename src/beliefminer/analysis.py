@@ -436,6 +436,14 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _real(text: str) -> float:
+    """A float as repr writes it: float()'s spaces, underscores and non-ASCII
+    digits are rejected, and range checks are left to the row type."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a float: {text!r}")
+    return float(text)
+
+
 def _belief(text: str) -> str:
     if text not in BELIEF_IDS:
         raise ValueError(f"unknown belief {text!r}")
@@ -455,8 +463,8 @@ _POPULATIONS = (
     ("project", str),
     ("belief", _belief),
     ("release_ordinal", _count),
-    ("rho", float),
-    ("p", float),
+    ("rho", _real),
+    ("p", _real),
     ("n", _count),
 )
 _WINDOWS = (
@@ -473,10 +481,10 @@ _EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _co
 _SUMMARY = (
     ("project", str),
     ("commits", _integer),
-    ("bug_fix_fraction", float),
+    ("bug_fix_fraction", _real),
     ("releases", _integer),
     ("developers", _integer),
-    ("active_years", float),
+    ("active_years", _real),
 )
 
 

@@ -35,6 +35,7 @@ from .ingest import (
     read_history,
     read_releases,
     summarize,
+    utf8_lines,
     write_history,
     write_releases,
 )
@@ -186,18 +187,17 @@ def _project_summary(
     """Per-project totals from the mining-time summary.json; when it is
     absent (e.g. synthetic caches), from ingest.summarize over counts
     recomputed from the cached records, in which commits that touched no
-    files are invisible. A malformed summary.json, one missing any of the
-    five fields, or one with a value that analysis.summary_row rejects,
-    raises CacheError."""
+    files are invisible. A summary.json that is not UTF-8 or not JSON, one
+    missing any of the five fields, or one with a value that
+    analysis.summary_row rejects, raises CacheError."""
     summary_json = project_dir / "summary.json"
     if summary_json.exists():
-        with open(summary_json, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CacheError(summary_json, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-            except (ValueError, RecursionError) as exc:
-                raise CacheError(summary_json, 1, f"invalid JSON: {exc}") from exc
+        try:
+            payload = json.loads("".join(utf8_lines(summary_json)))
+        except json.JSONDecodeError as exc:
+            raise CacheError(summary_json, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise CacheError(summary_json, 1, f"invalid JSON: {exc}") from exc
     else:
         times = [r.commit_time for r in records]
         tally = MiningResult(
@@ -285,8 +285,8 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    report, populations_csv = build_report(args.assessment, cfg)
-    write_report(report, args.out, populations_csv)
+    report = build_report(args.assessment, cfg)
+    write_report(report, args.out, args.assessment)
     print(f"report written to {args.out}")
     return 0
 

@@ -8,7 +8,6 @@ JSON-lines cache files that the rest of the pipeline consumes.
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import logging
 import re
@@ -41,6 +40,8 @@ _GIT_LOG_FORMAT = "%x01%H%x02%ct%x02%ae%x02%an%x02%B%x00"
 _NUMSTAT_ENTRY = re.compile(r"\n?(\d+|-)\t(\d+|-)\t(.*)", re.DOTALL)
 # Characters per read of the streamed `git log` output.
 _LOG_READ_CHARS = 64 * 1024
+# A byte that is not UTF-8, as the "surrogateescape" error handler reads it.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class RepositoryError(Exception):
@@ -64,35 +65,21 @@ class CacheError(Exception):
 
 def utf8_lines(path: str | Path, newline: str | None = None) -> Iterator[str]:
     """Yield the lines of a UTF-8 text file, as open() yields them in this
-    newline mode.
+    newline mode, reading the file once.
 
-    Text mode decodes a chunk at a time, so invalid UTF-8 can surface before
-    the earlier lines of its chunk are yielded. Those lines are then yielded
-    from the file's valid byte prefix, so a consumer's error among them comes
-    first; after them, CacheError names the undecodable line (counted as
-    text mode counts).
+    An undecodable byte is read as a lone surrogate, which valid UTF-8 never
+    decodes to, so every line before it is yielded first and a consumer's
+    error among them comes first. Then CacheError names the line that holds
+    it, with the reason that decoding that line alone gives.
     """
-    yielded = 0
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            for yielded, line in enumerate(fh, start=1):
-                yield line
-    except UnicodeDecodeError as exc:
-        data = Path(path).read_bytes()
-        lines = data.splitlines(keepends=True)
-        head_size = 0
-        for line_no, line in enumerate(lines, start=1):
-            try:
-                line.rstrip(b"\r\n").decode("utf-8")
-            except UnicodeDecodeError as line_exc:
-                error = CacheError(path, line_no, f"invalid UTF-8: {line_exc}")
-                break
-            head_size += len(line)
-        else:  # the file changed since it failed
-            raise CacheError(path, len(lines), "invalid UTF-8") from exc
-        head = io.TextIOWrapper(io.BytesIO(data[:head_size]), encoding="utf-8", newline=newline)
-        yield from itertools.islice(head, yielded, None)
-        raise error from exc
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
+                try:
+                    line.encode("utf-8", "surrogateescape").rstrip(b"\r\n").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CacheError(path, line_no, f"invalid UTF-8: {exc}") from exc
+            yield line
 
 
 class ChangeRecord(NamedTuple):

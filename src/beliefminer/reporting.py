@@ -30,7 +30,6 @@ from .analysis import (
     read_summary_csv,
     read_windows_csv,
     write_csv,
-    write_populations_csv,
 )
 from .config import DEFAULTS, Config
 from .metrics import BELIEF_IDS
@@ -310,17 +309,16 @@ def distribution_rows(
     return rows
 
 
-def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report, Path]:
-    """Assemble a Report from an assessment directory's CSV files."""
+def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> Report:
+    """Assemble a Report from an assessment directory's windows.csv,
+    summary.csv and populations.csv; each is required, and a missing one
+    raises OSError."""
     assess_path = Path(assess_dir)
     if not assess_path.is_dir():
         raise FileNotFoundError(f"assessment directory not found: {assess_path}")
-    populations_path = assess_path / "populations.csv"
-    windows_path = assess_path / "windows.csv"
-    summary_path = assess_path / "summary.csv"
-    window_rows = read_windows_csv(windows_path) if windows_path.exists() else []
-    summaries = read_summary_csv(summary_path) if summary_path.exists() else []
-    populations = read_populations_csv(populations_path) if populations_path.exists() else []
+    window_rows = read_windows_csv(assess_path / "windows.csv")
+    summaries = read_summary_csv(assess_path / "summary.csv")
+    populations = read_populations_csv(assess_path / "populations.csv")
 
     project_ids = sorted(
         {s.project_id for s in summaries}
@@ -366,7 +364,7 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
             if score.rho < 0:
                 contrary[population.belief_id] += 1
 
-    report = Report(
+    return Report(
         project_ids=project_ids,
         ranking=ranking,
         size_ranking=size_ranking,
@@ -378,7 +376,6 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> tuple[Report
         window_rows=window_rows,
         contrary_counts=dict(contrary),
     )
-    return report, populations_path
 
 
 def _ranking_rows(groups: list[RankedGroup]) -> list[tuple[int, str, float, float]]:
@@ -390,8 +387,9 @@ def _ranking_rows(groups: list[RankedGroup]) -> list[tuple[int, str, float, floa
     ]
 
 
-def write_report(report: Report, out_dir: str | Path, populations_csv: Path | None) -> None:
-    """Write report.md and the machine-readable CSV companions."""
+def write_report(report: Report, out_dir: str | Path, assess_dir: str | Path) -> None:
+    """Write report.md and the machine-readable CSV companions, and copy the
+    assessment's populations.csv, which build_report read, byte for byte."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / "report.md", "w", encoding="utf-8", newline="\n") as fh:
@@ -414,7 +412,4 @@ def write_report(report: Report, out_dir: str | Path, populations_csv: Path | No
     }
     for name, (columns, rows) in tables.items():
         write_csv(out_path / name, columns, rows)
-    if populations_csv is not None and populations_csv.exists():
-        shutil.copyfile(populations_csv, out_path / "populations.csv")
-    else:
-        write_populations_csv([], out_path / "populations.csv")
+    shutil.copyfile(Path(assess_dir) / "populations.csv", out_path / "populations.csv")

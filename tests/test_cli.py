@@ -403,6 +403,21 @@ def test_assess_malformed_summary_is_a_data_error(tmp_path, data_dir, capsys, te
     assert not (tmp_path / "o").exists()
 
 
+def test_assess_summary_json_invalid_utf8_names_its_line(tmp_path, data_dir, capsys):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    path = caches / "summary.json"
+    lines = path.read_bytes().split(b"\n")
+    assert lines[4] == b'  "commits": 20,'
+    lines[4] = b'  "commits\xff": 20,'
+    path.write_bytes(b"\n".join(lines))
+    assert main(["assess", str(caches), "--out", str(tmp_path / "o")]) == 1
+    stderr = capsys.readouterr().err
+    reason = "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    assert f"error: {path}:5: {reason}\n" in stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_assess_accepts_summary_boundary_values(tmp_path, data_dir, capsys):
     caches = tmp_path / "fixture"
     _copy_fixture_caches(data_dir, caches)
@@ -464,14 +479,33 @@ def test_report_matches_goldens(tmp_path, data_dir, capsys):
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
 
-def test_report_on_empty_assessment(tmp_path, capsys):
-    empty = tmp_path / "empty"
-    empty.mkdir()
+@pytest.mark.parametrize("name", ["windows.csv", "summary.csv", "populations.csv"])
+def test_report_requires_every_assessment_table(tmp_path, data_dir, capsys, name):
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    (assessment / name).unlink()
     out = tmp_path / "report"
-    assert main(["report", str(empty), "--out", str(out)]) == 0
+    assert main(["report", str(assessment), "--out", str(out)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ")
+    assert str(assessment / name) in stderr
+    assert not out.exists()
+
+
+def test_report_on_accepted_empty_assessment(tmp_path, data_dir, capsys):
+    assessment = tmp_path / "assessment"
+    assessment.mkdir()
+    for name in ("windows.csv", "summary.csv", "populations.csv"):
+        header = (data_dir / "fixture_assess" / name).read_text(encoding="utf-8").split("\n")[0]
+        (assessment / name).write_text(header + "\n", encoding="utf-8")
+    out = tmp_path / "report"
+    assert main(["report", str(assessment), "--out", str(out)]) == 0
     capsys.readouterr()
     text = (out / "report.md").read_text(encoding="utf-8")
     assert "Projects analyzed: 0" in text
+    assert "No significant scores; nothing to rank." in text
+    populations = (out / "populations.csv").read_bytes()
+    assert populations == (assessment / "populations.csv").read_bytes()
 
 
 def test_report_missing_assessment_exits_one(tmp_path, capsys):
@@ -561,6 +595,11 @@ _MALFORMED_ASSESSMENTS = {
         .replace(b"fixture,4,", b"fixture\xff,4,"),
         3,
     ),
+    "invalid-utf8-lone-cr-lines": (
+        "windows.csv",
+        lambda text: text.replace("\n", "\r").encode().replace(b"fixture,4,", b"fixture\xff,4,"),
+        4,
+    ),
     "nan-fraction": (
         "summary.csv",
         lambda text: text.replace(",0.45,", ",nan,").encode(),
@@ -604,6 +643,21 @@ _MALFORMED_ASSESSMENTS = {
     "negative-active-years": (
         "summary.csv",
         lambda text: _replace_line(text, 2, "fixture,20,0.45,5,3,-1.5").encode(),
+        2,
+    ),
+    "underscore-in-float": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20,0.4_5,5,3,0.9").encode(),
+        2,
+    ),
+    "spaces-around-float": (
+        "summary.csv",
+        lambda text: _replace_line(text, 2, "fixture,20, 0.45 ,5,3,0.9").encode(),
+        2,
+    ),
+    "spaces-around-rho": (
+        "populations.csv",
+        lambda text: (text + "fixture,B3,2, 0.9 ,0.001,6\n").encode(),
         2,
     ),
     "negative-distinct-files": (

@@ -191,7 +191,7 @@ def test_render_report_is_stable():
 
 
 def test_build_report_from_fixture_assessment(data_dir):
-    report, populations_path = build_report(data_dir / "fixture_assess")
+    report = build_report(data_dir / "fixture_assess")
     assert report.project_ids == ["fixture"]
     assert report.ranking == []
     assert report.size_ranking == []
@@ -202,31 +202,15 @@ def test_build_report_from_fixture_assessment(data_dir):
     assert {(b, g, d) for b, g, d in report.trend_summary} == {
         (f"B{i}", 0.0, 0.0) for i in range(1, 11)
     }
-    assert populations_path == data_dir / "fixture_assess" / "populations.csv"
 
 
 def test_write_report_matches_fixture_goldens(tmp_path, data_dir):
-    report, populations_path = build_report(data_dir / "fixture_assess")
+    report = build_report(data_dir / "fixture_assess")
     out = tmp_path / "report"
-    write_report(report, out, populations_path)
+    write_report(report, out, data_dir / "fixture_assess")
     golden_dir = data_dir / "fixture_report"
     golden_files = sorted(p.name for p in golden_dir.iterdir())
     produced = sorted(p.name for p in out.iterdir())
     assert produced == golden_files
     for name in golden_files:
         assert (out / name).read_bytes() == (golden_dir / name).read_bytes(), name
-
-
-def test_build_report_from_empty_directory(tmp_path):
-    report, populations_path = build_report(tmp_path)
-    assert report.project_ids == []
-    assert report.window_rows == []
-    assert report.distribution_rows == []
-    text = render_report(report)
-    assert "Projects analyzed: 0" in text
-    assert "No significant scores; nothing to rank." in text
-    out = tmp_path / "out"
-    write_report(report, out, populations_path)
-    assert (out / "populations.csv").read_text(encoding="utf-8").startswith(
-        "project,belief,release_ordinal"
-    )
