@@ -43,13 +43,6 @@ LABEL_SUPPORT = "support"
 LABEL_STRONG = "strong"
 LABEL_VERY_STRONG = "very_strong"
 
-BUCKET_SMALL = "small"
-BUCKET_MEDIUM = "medium"
-BUCKET_LARGE = "large"
-BUCKET_NONE = "unbucketed"
-
-_BUCKET_PREFIX = {BUCKET_SMALL: "S", BUCKET_MEDIUM: "M", BUCKET_LARGE: "L"}
-
 EXCLUDE_TOO_FEW = "too_few_observations"
 EXCLUDE_NOT_SIGNIFICANT = "not_significant"
 
@@ -291,20 +284,20 @@ def prevalence(populations: list[BeliefPopulation], cfg: Config = DEFAULTS) -> f
 
 
 def _rank_pooled(
-    pooled: dict[str, list[float]],
-    labels: Iterable[str],
-    empty_warning: str,
-    cfg: Config,
+    pooled: dict[str, list[float]], labels: Iterable[str], cfg: Config
 ) -> list[RankedGroup]:
     """Scott-Knott over the pooled scores of `labels`, in that order, with
-    the run's seed, bootstrap iterations and A12 threshold; a label with no
-    scores is dropped with `empty_warning` (one %s, the label)."""
+    the run's seed, bootstrap iterations and A12 threshold. Labels with no
+    scores are dropped, and one warning names them all."""
     treatments: list[Treatment] = []
+    unranked: list[str] = []
     for label in labels:
         if pooled.get(label):
             treatments.append(Treatment(label, pooled[label]))
         else:
-            logger.warning(empty_warning, label)
+            unranked.append(label)
+    if unranked:
+        logger.warning("no significant scores, so not ranked: %s", ", ".join(unranked))
     if not treatments:
         return []
     return scott_knott(
@@ -321,8 +314,7 @@ def rank_beliefs(populations: list[BeliefPopulation], cfg: Config = DEFAULTS) ->
     pooled: dict[str, list[float]] = defaultdict(list)
     for population in populations:
         pooled[population.belief_id].extend(abs(s.rho) for s in population.scores)
-    warning = "belief %s has no significant scores; not ranked"
-    return _rank_pooled(pooled, BELIEF_IDS, warning, cfg)
+    return _rank_pooled(pooled, BELIEF_IDS, cfg)
 
 
 def size_thresholds(distinct_file_counts: list[int], cfg: Config = DEFAULTS) -> SizeThresholds:
@@ -336,21 +328,23 @@ def size_thresholds(distinct_file_counts: list[int], cfg: Config = DEFAULTS) -> 
     return SizeThresholds(median_df=median, q3_df=q3)
 
 
-def bucket_for(distinct_files: int, thresholds: SizeThresholds) -> str:
+def bucket_for(distinct_files: int, thresholds: SizeThresholds) -> str | None:
+    """The size bucket's treatment prefix: S(mall), M(edium) or L(arge), or
+    None for a window with the bare minimum of 3 files or fewer."""
     if distinct_files <= 3:
-        return BUCKET_NONE
+        return None
     if distinct_files < thresholds.median_df:
-        return BUCKET_SMALL
+        return "S"
     if distinct_files < thresholds.q3_df:
-        return BUCKET_MEDIUM
-    return BUCKET_LARGE
+        return "M"
+    return "L"
 
 
 def bucket_windows(
     window_rows: list[WindowRow], cfg: Config = DEFAULTS
-) -> tuple[SizeThresholds, dict[tuple[str, int], str]]:
+) -> tuple[SizeThresholds, dict[tuple[str, int], str | None]]:
     """Assign each qualified window a size bucket from the dataset-wide D_F
-    distribution. Windows with the bare minimum D_F = 3 stay unbucketed."""
+    distribution. Windows with the bare minimum D_F = 3 map to None."""
     qualified = [row for row in window_rows if row.qualified]
     if not qualified:
         raise ValueError("no qualified windows to bucket")
@@ -366,23 +360,20 @@ def bucket_windows(
 
 def rank_beliefs_by_size(
     populations: list[BeliefPopulation],
-    bucket_by_window: dict[tuple[str, int], str],
+    bucket_by_window: dict[tuple[str, int], str | None],
     cfg: Config = DEFAULTS,
 ) -> list[RankedGroup]:
     """Scott-Knott over up to 30 (size bucket x belief) treatments, labels
-    like S_B5. Unbucketed windows and empty combinations are dropped."""
+    like S_B5. Every score's window must be in bucket_by_window; unbucketed
+    windows and empty combinations are dropped."""
     pooled: dict[str, list[float]] = defaultdict(list)
     for population in populations:
         for score in population.scores:
-            key = (population.project_id, score.release_ordinal)
-            bucket = bucket_by_window.get(key)
-            prefix = _BUCKET_PREFIX.get(bucket or "")
-            if prefix is None:
-                continue
-            pooled[f"{prefix}_{population.belief_id}"].append(abs(score.rho))
-    labels = [f"{prefix}_{belief}" for belief in BELIEF_IDS for prefix in _BUCKET_PREFIX.values()]
-    warning = "treatment %s has no scores; not ranked"
-    return _rank_pooled(pooled, labels, warning, cfg)
+            prefix = bucket_by_window[population.project_id, score.release_ordinal]
+            if prefix is not None:
+                pooled[f"{prefix}_{population.belief_id}"].append(abs(score.rho))
+    labels = [f"{prefix}_{belief}" for belief in BELIEF_IDS for prefix in "SML"]
+    return _rank_pooled(pooled, labels, cfg)
 
 
 def growth_decay(
@@ -390,7 +381,8 @@ def growth_decay(
     release_times: dict[int, int],
     cfg: Config = DEFAULTS,
 ) -> TrendResult:
-    """Correlate a belief's |rho| scores against their release dates.
+    """Correlate a belief's |rho| scores against their release dates, which
+    release_times must hold for every score's ordinal.
 
     Growth when rho_time >= cfg.trend_threshold, decay when
     <= -cfg.trend_threshold; a population under cfg.min_observations
@@ -398,11 +390,7 @@ def growth_decay(
     No significance filter is applied to rho_time itself; its p-value is
     carried for the report.
     """
-    dated = [
-        (release_times[s.release_ordinal], abs(s.rho))
-        for s in population.scores
-        if s.release_ordinal in release_times
-    ]
+    dated = [(release_times[s.release_ordinal], abs(s.rho)) for s in population.scores]
     if len(dated) < cfg.min_observations:
         return TrendResult(
             population.belief_id, population.project_id, "neither", None, None
@@ -456,36 +444,42 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-# The four assessment tables: each column's name and the parser that reads
-# its text back. A row type's fields follow its table's column order.
-_Table = tuple[tuple[str, Callable[[str], object]], ...]
-_POPULATIONS = (
+class _Table(NamedTuple):
+    """An assessment table: how many of its leading columns form its key,
+    which no two rows share, and each column's name and the parser that
+    reads its text back. A row type's fields follow the column order."""
+
+    key: int
+    columns: tuple[tuple[str, Callable[[str], object]], ...]
+
+
+_POPULATIONS = _Table(3, (
     ("project", str),
     ("belief", _belief),
     ("release_ordinal", _count),
     ("rho", _real),
     ("p", _real),
     ("n", _count),
-)
-_WINDOWS = (
+))
+_WINDOWS = _Table(2, (
     ("project", str),
     ("release_ordinal", _count),
     ("release_time", _integer),
     ("distinct_files", _count),
     ("right_censored", _flag),
     ("qualified", _flag),
-)
-_EXCLUSIONS = (("project", str), ("belief", str), ("reason", str), ("count", _count))
+))
+_EXCLUSIONS = _Table(3, (("project", str), ("belief", str), ("reason", str), ("count", _count)))
 # summary.csv's columns only turn text into numbers; summary_row checks
 # their ranges, as it does summary.json's.
-_SUMMARY = (
+_SUMMARY = _Table(1, (
     ("project", str),
     ("commits", _integer),
     ("bug_fix_fraction", _real),
     ("releases", _integer),
     ("developers", _integer),
     ("active_years", _real),
-)
+))
 
 
 def write_csv(path: Path, columns: tuple[str, ...], rows: Iterable[Iterable]) -> None:
@@ -505,7 +499,7 @@ def _write_table(path: Path, table: _Table, rows: Iterable[tuple]) -> None:
     are written as 0/1, every other value as write_csv writes it."""
     write_csv(
         path,
-        tuple(name for name, _ in table),
+        tuple(name for name, _ in table.columns),
         (tuple(int(v) if type(v) is bool else v for v in row) for row in rows),
     )
 
@@ -514,11 +508,14 @@ def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> l
     """Read an assessment table: row_type(*parsed fields) for each row.
 
     The header must be the table's columns and every row must hold one field
-    per column; blank lines are skipped. The first bad line raises CacheError.
+    per column; blank lines are skipped. A row's parsed key must differ from
+    every earlier row's, which is checked once row_type has accepted the row.
+    The first bad line raises CacheError.
     """
-    columns = [name for name, _ in table]
-    parsers = [parse for _, parse in table]
+    columns = [name for name, _ in table.columns]
+    parsers = [parse for _, parse in table.columns]
     rows = []
+    first_line: dict[tuple, int] = {}
     reader = csv.reader(utf8_lines(path, newline=""))
     try:
         if next(reader, None) != columns:
@@ -530,7 +527,13 @@ def _read_table(path: Path, table: _Table, row_type: Callable[..., object]) -> l
                 raise CacheError(
                     path, reader.line_num, f"{len(fields)} fields, expected {len(parsers)}"
                 )
-            rows.append(row_type(*[parse(text) for parse, text in zip(parsers, fields)]))
+            values = [parse(text) for parse, text in zip(parsers, fields)]
+            rows.append(row_type(*values))
+            key = tuple(values[: table.key])
+            earlier = first_line.setdefault(key, reader.line_num)
+            if earlier != reader.line_num:
+                reason = f"duplicate key {key}, first on line {earlier}"
+                raise CacheError(path, reader.line_num, reason)
     except csv.Error as exc:
         raise CacheError(path, reader.line_num, str(exc)) from exc
     except ValueError as exc:
@@ -560,18 +563,23 @@ def write_populations_csv(populations: list[BeliefPopulation], path: Path) -> No
     )
 
 
-def read_populations_csv(path: Path) -> list[BeliefPopulation]:
+def read_populations_csv(path: Path, window_rows: list[WindowRow]) -> list[BeliefPopulation]:
     """Rebuild populations from populations.csv; exclusion counts are not
     round-tripped (they live in exclusions.csv). Each score passes
-    SupportScore's range checks."""
-    rows = _read_table(
-        path,
-        _POPULATIONS,
-        lambda project, belief, ordinal, rho, p, n: (
-            (project, belief),
-            SupportScore(rho, p, n, release_ordinal=ordinal),
-        ),
-    )
+    SupportScore's range checks and then must sit in a qualified window of
+    window_rows, the same assessment's windows.csv."""
+    qualified = {(row.project_id, row.release_ordinal): row.qualified for row in window_rows}
+
+    def scored(project, belief, ordinal, rho, p, n):
+        score = SupportScore(rho, p, n, release_ordinal=ordinal)
+        window_qualified = qualified.get((project, ordinal))
+        if window_qualified is None:
+            raise ValueError(f"release_ordinal {ordinal} of {project!r} is not in windows.csv")
+        if not window_qualified:
+            raise ValueError(f"release_ordinal {ordinal} of {project!r} is not a qualified window")
+        return (project, belief), score
+
+    rows = _read_table(path, _POPULATIONS, scored)
     grouped: dict[tuple[str, str], list[SupportScore]] = defaultdict(list)
     for key, score in rows:
         grouped[key].append(score)

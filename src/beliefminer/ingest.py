@@ -208,14 +208,6 @@ def _ensure_repository(repo_path: str | Path) -> None:
         raise RepositoryError(f"not a git repository: {path}") from exc
 
 
-def _has_commits(repo_path: str | Path) -> bool:
-    try:
-        _run_git(repo_path, "rev-parse", "--verify", "--quiet", "HEAD^{commit}")
-    except RepositoryError:
-        return False
-    return True
-
-
 def mine_repository(
     repo_path: str | Path,
     first_parent: bool = True,
@@ -236,9 +228,6 @@ def mine_repository(
     never fatal; a failing git raises RepositoryError.
     """
     _ensure_repository(repo_path)
-    if not _has_commits(repo_path):
-        return MiningResult([], 0, 0, 0, None, None, 0)
-
     args = [
         "log",
         "--numstat",
@@ -249,7 +238,8 @@ def mine_repository(
     ]
     if first_parent:
         args.append("--first-parent")
-    args.append("HEAD")
+    # an unborn HEAD (a repository without commits) lists nothing
+    args += ["--ignore-missing", "HEAD"]
 
     records: list[ChangeRecord] = []
     # git log lists each commit once, so a path can repeat only within one
@@ -346,9 +336,9 @@ def extract_releases(repo_path: str | Path) -> list[Release]:
 
     Annotated tags resolve to the commit they point at, not the tag object,
     so the tag's own creation date is irrelevant. Ties are broken by tag
-    name so the ordering is a deterministic function of the tag set.
+    name so the ordering is a deterministic function of the tag set. A path
+    that is not a repository raises RepositoryError from git itself.
     """
-    _ensure_repository(repo_path)
     out = _run_git(
         repo_path,
         "for-each-ref",

@@ -312,19 +312,16 @@ def distribution_rows(
 def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> Report:
     """Assemble a Report from an assessment directory's windows.csv,
     summary.csv and populations.csv; each is required, and a missing one
-    raises OSError."""
+    raises OSError. Every populations.csv row names a qualified window of
+    windows.csv, so the projects are those of summary.csv and windows.csv."""
     assess_path = Path(assess_dir)
     if not assess_path.is_dir():
         raise FileNotFoundError(f"assessment directory not found: {assess_path}")
     window_rows = read_windows_csv(assess_path / "windows.csv")
     summaries = read_summary_csv(assess_path / "summary.csv")
-    populations = read_populations_csv(assess_path / "populations.csv")
+    populations = read_populations_csv(assess_path / "populations.csv", window_rows)
 
-    project_ids = sorted(
-        {s.project_id for s in summaries}
-        | {row.project_id for row in window_rows}
-        | {p.project_id for p in populations}
-    )
+    project_ids = sorted({s.project_id for s in summaries} | {w.project_id for w in window_rows})
     by_project: dict[str, list[BeliefPopulation]] = defaultdict(list)
     for population in populations:
         by_project[population.project_id].append(population)
@@ -353,7 +350,7 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> Report:
     for row in window_rows:
         release_times[row.project_id][row.release_ordinal] = row.release_time
     trends = [
-        growth_decay(population, release_times.get(population.project_id, {}), cfg)
+        growth_decay(population, release_times[population.project_id], cfg)
         for population in populations
     ]
     trends.sort(key=lambda t: (t.project_id, BELIEF_IDS.index(t.belief_id)))

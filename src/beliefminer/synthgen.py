@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import DEFAULTS, SECONDS_PER_DAY, ScenarioError, read_key_values
+from .config import _parse_float, _parse_int
 from .ingest import ChangeRecord, Release
 from .labeling import DEFAULT_STEMS, classify_message
 from .stats import spearman
@@ -108,7 +109,7 @@ def _last_time(spec: ScenarioSpec) -> int:
 
 
 def _parse_file_range(raw: str) -> tuple[int, int]:
-    parts = [int(p) for p in raw.split(",")]
+    parts = [_parse_int(p) for p in raw.split(",")]
     if len(parts) == 1:
         return parts[0], parts[0]
     if len(parts) == 2:
@@ -117,13 +118,13 @@ def _parse_file_range(raw: str) -> tuple[int, int]:
 
 
 _SCENARIO_PARSERS = {
-    "releases": int,
+    "releases": _parse_int,
     "files_per_release": _parse_file_range,
     "planted_belief": lambda raw: None if raw.lower() == "none" else raw,
-    "planted_strength": float,
-    "noise_seed": int,
-    "bug_fix_rate": float,
-    "post_days": int,
+    "planted_strength": _parse_float,
+    "noise_seed": _parse_int,
+    "bug_fix_rate": _parse_float,
+    "post_days": _parse_int,
 }
 
 

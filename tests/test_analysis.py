@@ -7,10 +7,6 @@ import random
 import pytest
 
 from beliefminer.analysis import (
-    BUCKET_LARGE,
-    BUCKET_MEDIUM,
-    BUCKET_NONE,
-    BUCKET_SMALL,
     EXCLUDE_NOT_SIGNIFICANT,
     EXCLUDE_TOO_FEW,
     BeliefPopulation,
@@ -39,7 +35,13 @@ from beliefminer.analysis import (
 )
 from beliefminer import analysis, stats, windowing
 from beliefminer.config import SECONDS_PER_DAY, Config
-from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
+from beliefminer.ingest import (
+    CacheError,
+    ChangeRecord,
+    Release,
+    extract_releases,
+    mine_repository,
+)
 from beliefminer.metrics import BeliefVector
 from beliefminer.stats import SupportScore
 from beliefminer.windowing import ReleaseWindow
@@ -331,8 +333,10 @@ def test_rank_beliefs_orders_by_support(caplog):
     assert [g.rank for g in groups] == [1, 2]
     assert groups[0].treatments[0].label == "B9"
     assert groups[1].treatments[0].label == "B2"
-    # eight beliefs have no scores and are dropped loudly
-    assert sum("no significant scores" in m for m in caplog.messages) == 8
+    # eight beliefs have no scores and are dropped loudly, in one line
+    assert caplog.messages == [
+        "no significant scores, so not ranked: B1, B3, B4, B5, B6, B7, B8, B10"
+    ]
 
 
 def test_rank_beliefs_pools_across_projects():
@@ -371,19 +375,20 @@ def test_size_thresholds_validation():
 @pytest.mark.parametrize(
     "df,bucket",
     [
-        (3, BUCKET_NONE),  # bare-minimum windows stay unbucketed
-        (2, BUCKET_NONE),
-        (4, BUCKET_SMALL),
-        (17, BUCKET_SMALL),
-        (18, BUCKET_MEDIUM),
-        (29, BUCKET_MEDIUM),
-        (30, BUCKET_LARGE),
-        (100, BUCKET_LARGE),
+        (3, "unbucketed"),  # bare-minimum windows stay unbucketed
+        (2, "unbucketed"),
+        (4, "small"),
+        (17, "small"),
+        (18, "medium"),
+        (29, "medium"),
+        (30, "large"),
+        (100, "large"),
     ],
 )
 def test_bucket_for(df, bucket):
     thresholds = SizeThresholds(median_df=18.0, q3_df=30.0)
-    assert bucket_for(df, thresholds) == bucket
+    prefix = {"unbucketed": None, "small": "S", "medium": "M", "large": "L"}[bucket]
+    assert bucket_for(df, thresholds) == prefix
 
 
 def test_bucket_windows_uses_qualified_rows_only():
@@ -399,13 +404,14 @@ def test_bucket_windows_uses_qualified_rows_only():
     thresholds, assignment = bucket_windows(rows)
     # thresholds come from all six qualified D_F values [3,4,10,18,30,40]
     assert thresholds == SizeThresholds(median_df=14.0, q3_df=27.0)
-    assert assignment[("p", 3)] == BUCKET_SMALL
-    assert assignment[("p", 4)] == BUCKET_SMALL
-    assert assignment[("p", 5)] == BUCKET_MEDIUM
-    assert assignment[("p", 6)] == BUCKET_LARGE
-    assert assignment[("p", 7)] == BUCKET_LARGE
-    assert assignment[("p", 8)] == BUCKET_NONE
-    assert ("p", 2) not in assignment
+    assert assignment == {
+        ("p", 3): "S",
+        ("p", 4): "S",
+        ("p", 5): "M",
+        ("p", 6): "L",
+        ("p", 7): "L",
+        ("p", 8): None,
+    }
 
 
 def test_bucket_windows_requires_qualified_rows():
@@ -417,23 +423,33 @@ def test_rank_beliefs_by_size_labels_and_drops(caplog):
     scores_small = [_score(v, ordinal=i + 2) for i, v in enumerate(_spread(0.82, 8))]
     scores_large = [_score(v, ordinal=i + 20) for i, v in enumerate(_spread(0.18, 8))]
     population = _population(scores_small + scores_large, belief="B3", project="p")
-    buckets = {("p", s.release_ordinal): BUCKET_SMALL for s in scores_small}
-    buckets.update({("p", s.release_ordinal): BUCKET_LARGE for s in scores_large})
+    buckets = {("p", s.release_ordinal): "S" for s in scores_small}
+    buckets.update({("p", s.release_ordinal): "L" for s in scores_large})
     with caplog.at_level(logging.WARNING):
         groups = rank_beliefs_by_size([population], buckets, Config(seed=1))
     labels = [e.label for g in groups for e in g.treatments]
     assert sorted(labels) == ["L_B3", "S_B3"]
     assert groups[0].treatments[0].label == "L_B3"  # weaker support ranks lower
-    assert sum("has no scores" in m for m in caplog.messages) == 28
+    # the 28 empty treatments, in label order, in one line
+    unranked = [
+        f"{prefix}_{belief}"
+        for belief in ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9", "B10")
+        for prefix in "SML"
+        if f"{prefix}_{belief}" not in ("S_B3", "L_B3")
+    ]
+    assert len(unranked) == 28
+    assert caplog.messages == [f"no significant scores, so not ranked: {', '.join(unranked)}"]
 
 
 def test_rank_beliefs_by_size_skips_unbucketed_scores():
     scores = [_score(0.5, ordinal=i + 2) for i in range(4)]
     population = _population(scores, belief="B3", project="p")
-    buckets = {("p", s.release_ordinal): BUCKET_NONE for s in scores}
+    buckets = {("p", s.release_ordinal): None for s in scores}
     assert rank_beliefs_by_size([population], buckets) == []
-    # unknown windows are equally dropped
-    assert rank_beliefs_by_size([population], {}) == []
+    # a score outside every bucketed window is an error, not a silent drop:
+    # read_populations_csv rejects such rows before any ranking
+    with pytest.raises(KeyError):
+        rank_beliefs_by_size([population], {})
 
 
 # --- trends --------------------------------------------------------------------
@@ -474,13 +490,6 @@ def test_growth_decay_too_few_scores():
     assert result == type(result)("B3", "proj", "neither", None, None)
 
 
-def test_growth_decay_ignores_unknown_ordinals():
-    scores = [_score(0.4 + 0.1 * i, ordinal=i + 2) for i in range(5)]
-    times = {i + 2: 1000 * (i + 2) for i in range(4)}  # ordinal 6 undated
-    result = growth_decay(_population(scores), times)
-    assert result.trend == "growth"
-
-
 # --- csv io --------------------------------------------------------------------
 
 
@@ -495,7 +504,9 @@ def test_populations_csv_round_trip(tmp_path):
     ]
     path = tmp_path / "populations.csv"
     write_populations_csv(populations, path)
-    loaded = read_populations_csv(path)
+    qualified = [("p0", 3), ("p1", 2), ("p1", 5)]
+    windows = [WindowRow(p, ordinal, 0, 4, False, True) for p, ordinal in qualified]
+    loaded = read_populations_csv(path, windows)
     assert [(p.project_id, p.belief_id) for p in loaded] == [("p0", "B1"), ("p1", "B3")]
     original = {(p.project_id, p.belief_id): p.scores for p in populations}
     for population in loaded:
@@ -504,6 +515,16 @@ def test_populations_csv_round_trip(tmp_path):
         assert [(s.rho, s.p_value, s.n) for s in population.scores] == [
             (s.rho, s.p_value, s.n) for s in original[key]
         ]
+
+
+def test_table_key_is_compared_parsed(tmp_path):
+    path = tmp_path / "windows.csv"
+    write_windows_csv([WindowRow("p", 5, 1000, 4, False, True)], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("p,05,2000,4,0,1\n")  # ordinal 05 parses to 5
+    with pytest.raises(CacheError) as excinfo:
+        read_windows_csv(path)
+    assert str(excinfo.value) == f"{path}:3: duplicate key ('p', 5), first on line 2"
 
 
 def test_windows_csv_round_trip(tmp_path):

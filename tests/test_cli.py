@@ -18,7 +18,7 @@ import pytest
 import beliefminer
 import beliefminer.config
 import beliefminer.synthgen
-from beliefminer import analysis, cli, metrics, reporting
+from beliefminer import analysis, cli, ingest, metrics, reporting
 from beliefminer.cli import main
 from beliefminer.config import DEFAULTS, load_config
 
@@ -105,6 +105,43 @@ def test_mine_extend_keywords(tmp_path, fixture_repo):
     summary = json.loads(out.joinpath("summary.json").read_text(encoding="utf-8"))
     # defaults plus 'regress' pick up "add regression tests for parser"
     assert summary["bug_fix_commits"] == 10
+
+
+def _spy_git_commands(monkeypatch):
+    """Record the git subcommand of every git process ingest starts."""
+    started = []
+    real = ingest._stream_git
+
+    def spy(repo_path, *args):
+        started.append(args[0])
+        return real(repo_path, *args)
+
+    monkeypatch.setattr(ingest, "_stream_git", spy)
+    return started
+
+
+def test_mine_starts_three_git_processes(tmp_path, fixture_repo, monkeypatch, capsys):
+    started = _spy_git_commands(monkeypatch)
+    assert main(["mine", str(fixture_repo), "--out", str(tmp_path / "o"), "--force"]) == 0
+    assert started == ["rev-parse", "log", "for-each-ref"]
+    capsys.readouterr()
+
+
+def test_mine_empty_repo_writes_empty_caches(tmp_path, monkeypatch, capsys):
+    repo = tmp_path / "empty"
+    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
+    started = _spy_git_commands(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["mine", str(repo), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["mine", str(repo), "--out", str(out), "--force"]) == 0
+    assert started == ["rev-parse", "log", "for-each-ref"] * 2
+    assert out.joinpath("history.jsonl").read_bytes() == b""
+    assert out.joinpath("releases.jsonl").read_bytes() == b""
+    summary = json.loads(out.joinpath("summary.json").read_text(encoding="utf-8"))
+    assert summary["commits"] == 0
+    assert summary["first_commit_time"] is None
+    assert "mined 0 commits (0 file records), 0 releases" in capsys.readouterr().out
 
 
 def test_mine_missing_repo(tmp_path, capsys):
@@ -545,7 +582,8 @@ def _replace_line(text, line_no, new_line):
     return "\n".join(lines)
 
 
-# (file, its new bytes from the fixture's text, the line the error names)
+# (file, its new bytes from the fixture's text, the line the error names
+# [, the reason it gives])
 _MALFORMED_ASSESSMENTS = {
     "missing-column": (
         "populations.csv",
@@ -675,12 +713,45 @@ _MALFORMED_ASSESSMENTS = {
         lambda text: (text + "fixture,B3,-2,0.9,0.001,6\n").encode(),
         2,
     ),
+    # the fixture's only qualified window is 5
+    "score-in-unqualified-window": (
+        "populations.csv",
+        lambda text: (
+            text + "fixture,B3,2,0.9,0.5,6\n" * 2 + "fixture,B3,99,0.9,0.5,6\n"
+        ).encode(),
+        2,
+        "bad field value: release_ordinal 2 of 'fixture' is not a qualified window\n",
+    ),
+    "score-in-unknown-window": (
+        "populations.csv",
+        lambda text: (text + "fixture,B3,99,0.9,0.001,6\n").encode(),
+        2,
+        "bad field value: release_ordinal 99 of 'fixture' is not in windows.csv\n",
+    ),
+    "duplicate-score": (
+        "populations.csv",
+        lambda text: (text + "fixture,B3,5,0.9,0.001,6\nfixture,B3,5,0.8,0.002,6\n").encode(),
+        3,
+        "duplicate key ('fixture', 'B3', 5), first on line 2\n",
+    ),
+    "duplicate-window": (
+        "windows.csv",
+        lambda text: (text + "fixture,5,1629331200,6,1,1\n").encode(),
+        6,
+        "duplicate key ('fixture', 5), first on line 5\n",
+    ),
+    "duplicate-summary": (
+        "summary.csv",
+        lambda text: (text + "fixture,20,0.45,5,3,0.9\n").encode(),
+        3,
+        "duplicate key ('fixture',), first on line 2\n",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_ASSESSMENTS))
 def test_report_on_malformed_assessment_names_line(tmp_path, data_dir, capsys, case):
-    name, corrupt, line_no = _MALFORMED_ASSESSMENTS[case]
+    name, corrupt, line_no, *reason = _MALFORMED_ASSESSMENTS[case]
     assessment = tmp_path / "assessment"
     shutil.copytree(data_dir / "fixture_assess", assessment)
     path = assessment / name
@@ -688,7 +759,7 @@ def test_report_on_malformed_assessment_names_line(tmp_path, data_dir, capsys, c
     out = tmp_path / "report"
     assert main(["report", str(assessment), "--out", str(out)]) == 1
     stderr = capsys.readouterr().err
-    assert f"error: {path}:{line_no}: " in stderr
+    assert f"error: {path}:{line_no}: {''.join(reason)}" in stderr
     assert not out.exists()
 
 

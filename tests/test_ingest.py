@@ -307,6 +307,15 @@ def test_mine_rejects_missing_repo(tmp_path):
         mine_repository(tmp_path)  # exists but is not a repository
 
 
+def test_extract_releases_rejects_non_repository(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    for path in (plain, tmp_path / "nowhere"):
+        with pytest.raises(RepositoryError, match="git for-each-ref failed in ") as excinfo:
+            extract_releases(path)
+        assert str(path) in str(excinfo.value)
+
+
 def test_mine_empty_repo(tmp_path):
     repo = tmp_path / "empty"
     repo.mkdir()

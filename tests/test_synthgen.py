@@ -152,6 +152,10 @@ def test_parse_scenario_file_errors(tmp_path):
         ("releases\n", "key = value"),
         ("planted_belief = B5\n", "planted_belief"),  # validated after parse
         ("releases = 6\n\nreleases = 8\n", ":3: duplicate key 'releases'"),
+        # the same wording as a config file's value errors
+        ("releases = x\n", ":1: releases: expected an integer, got 'x'"),
+        ("planted_strength = high\n", ":1: planted_strength: expected a number, got 'high'"),
+        ("files_per_release = 30,x\n", ":1: files_per_release: expected an integer, got 'x'"),
     ]
     for body, needle in cases:
         path = tmp_path / "scenario.txt"
