@@ -98,8 +98,9 @@ class Config:
             raise ConfigError("support_threshold: must be positive and finite")
         if not 0 < self.trend_threshold < math.inf:
             raise ConfigError("trend_threshold: must be positive and finite")
-        if self.bootstrap_iterations < 100:
-            raise ConfigError("bootstrap_iterations: must be >= 100")
+        # Scott-Knott's bootstrap holds iterations x pooled scores cells
+        if not 100 <= self.bootstrap_iterations <= 10_000:
+            raise ConfigError("bootstrap_iterations: must lie in [100, 10000]")
         if not 0 < self.a12_threshold <= 1:
             raise ConfigError("a12_threshold: must lie in (0, 1]")
         # the Scott-Knott split seeds hash it as a signed 64-bit integer

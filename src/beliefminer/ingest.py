@@ -16,8 +16,9 @@ import tempfile
 from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 from .config import DEFAULT_EXTENSIONS, SECONDS_PER_DAY
 from .labeling import KeywordSet, classify_message
@@ -198,16 +199,6 @@ def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
     yield "".join(pending)
 
 
-def _ensure_repository(repo_path: str | Path) -> None:
-    path = Path(repo_path)
-    if not path.exists():
-        raise RepositoryError(f"path does not exist: {path}")
-    try:
-        _run_git(path, "rev-parse", "--git-dir")
-    except RepositoryError as exc:
-        raise RepositoryError(f"not a git repository: {path}") from exc
-
-
 def mine_repository(
     repo_path: str | Path,
     first_parent: bool = True,
@@ -225,9 +216,9 @@ def mine_repository(
 
     The log is parsed while git still produces it. An empty repository
     yields an empty result. Unparsable log entries are skipped and counted,
-    never fatal; a failing git raises RepositoryError.
+    never fatal. A failing git, as on a missing path or a non-repository,
+    raises RepositoryError with the path and git's first error line.
     """
-    _ensure_repository(repo_path)
     args = [
         "log",
         "--numstat",
@@ -411,68 +402,69 @@ def apply_sanity_checks(summary: ProjectSummary) -> list[str]:
     return violations
 
 
-_HISTORY_KEYS = frozenset(ChangeRecord._fields)
-_RELEASE_KEYS = frozenset({"tag_name", "release_time", "ordinal"})
+# The JSON type that each cache field's value must have, as ChangeRecord
+# and Release declare it. json.loads gives exactly these types, so a bool
+# is not an int.
+_HISTORY_FIELDS = get_type_hints(ChangeRecord)
+_RELEASE_FIELDS = get_type_hints(Release)
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean"}
 
-# The canonical history line: what write_history emits for a record whose
-# strings need no JSON escape.
+# The cache lines, each stated once. The writers fill them with every string
+# spelt by encode_basestring, as JSONEncoder(ensure_ascii=False) spells it,
+# and every bool as JSON's own word, indexed by the bool.
 _HISTORY_LINE = (
-    '{"commit_id": "%s", "commit_time": %d, "author": "%s", "file_path": "%s", '
+    '{"commit_id": %s, "commit_time": %d, "author": %s, "file_path": %s, '
     '"insertions": %d, "deletions": %d, "is_bug_fix": %s}\n'
 )
+_RELEASE_LINE = '{"tag_name": %s, "release_time": %d, "ordinal": %d}\n'
+_JSON_BOOL = ("false", "true")
 # What the JSON encoder escapes: a quote, a backslash and every character
 # below U+0020 (as a regex character class body).
 _ESCAPED = r'"\\\x00-\x1f'
-_NEEDS_ESCAPE = re.compile(f"[{_ESCAPED}]")
-# The same line as a pattern. Its strings hold no character the encoder
-# escapes, so each group is the JSON value's own text and str()/int() of it
-# equal what json.loads gives. Integers have at most 18 digits: a longer
-# one takes json.loads, which reports one past int()'s digit limit.
+# The history line as a pattern, for lines whose strings hold no escape: the
+# flag is the %s before the closing brace. Each group is the JSON value's
+# own text, so it and int() of it equal what json.loads gives. Integers have
+# at most 18 digits: a longer one takes json.loads, which reports one past
+# int()'s digit limit.
 _CANONICAL_HISTORY_LINE = re.compile(
     re.escape(_HISTORY_LINE[:-1])
-    .replace('"%s"', f'"([^{_ESCAPED}]*)"')
+    .replace(r"%s\}", r"(true|false)\}")
+    .replace("%s", f'"([^{_ESCAPED}]*)"')
     .replace("%d", "(-?(?:0|[1-9][0-9]{0,17}))")
-    .replace("%s", "(true|false)")
     + "\n?"
 )
 
-# json.dumps(..., ensure_ascii=False) builds a fresh encoder per call.
-_encode_row = json.JSONEncoder(ensure_ascii=False).encode
-
 
 def write_history(records: list[ChangeRecord], path: str | Path) -> None:
-    """Write change records as one JSON object per line, UTF-8, LF endings.
-
-    A record of plain str, int and bool fields whose strings need no escape
-    is formatted into the canonical line; any other goes to the JSON
-    encoder. Both give the same bytes.
-    """
-    needs_escape = _NEEDS_ESCAPE.search
+    """Write change records as one canonical JSON line each, UTF-8, LF
+    endings: for a record of str, int and bool fields, the bytes that the
+    JSON encoder gives."""
+    quote = encode_basestring
+    flags = _JSON_BOOL
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            commit_id, commit_time, author, file_path, insertions, deletions, is_bug_fix = record
-            if (
-                type(commit_id) is type(author) is type(file_path) is str
-                and type(commit_time) is type(insertions) is type(deletions) is int
-                and type(is_bug_fix) is bool
-                and not (needs_escape(commit_id) or needs_escape(author) or needs_escape(file_path))
-            ):
-                flag = "true" if is_bug_fix else "false"
-                fh.write(
-                    _HISTORY_LINE
-                    % (commit_id, commit_time, author, file_path, insertions, deletions, flag)
+        write = fh.write
+        for commit_id, commit_time, author, file_path, insertions, deletions, is_bug_fix in records:
+            write(
+                _HISTORY_LINE
+                % (
+                    quote(commit_id),
+                    commit_time,
+                    quote(author),
+                    quote(file_path),
+                    insertions,
+                    deletions,
+                    flags[is_bug_fix],
                 )
-            else:
-                fh.write(_encode_row(record._asdict()))
-                fh.write("\n")
+            )
 
 
-def _decode_line(
-    path: str | Path, line_no: int, line: str, keys: frozenset[str], kind: str
-) -> dict:
-    """Parse one non-blank cache line with json.loads; the value must be an
-    object whose keys are exactly `keys`. A JSON error comes before a key
-    error."""
+def _decode_fields(
+    path: str | Path, line_no: int, line: str, fields: dict[str, type], kind: str
+) -> list:
+    """Parse one non-blank cache line with json.loads and return its values
+    in `fields` order. The value must be an object whose keys are exactly
+    `fields`, each holding a value of exactly its declared type. A JSON
+    error comes before a key error, and that before the first type error."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -481,9 +473,16 @@ def _decode_line(
         raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer longer than int() may convert
         raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-    if not isinstance(obj, dict) or obj.keys() != keys:
+    if not isinstance(obj, dict) or obj.keys() != fields.keys():
         raise CacheError(path, line_no, f"unexpected {kind} record fields")
-    return obj
+    for name, expected in fields.items():
+        if type(obj[name]) is not expected:
+            raise CacheError(
+                path,
+                line_no,
+                f"bad field value: {name} = {obj[name]!r} is not {_TYPE_NAMES[expected]}",
+            )
+    return [obj[name] for name in fields]
 
 
 def read_history(path: str | Path) -> list[ChangeRecord]:
@@ -491,8 +490,8 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
     paths share one string object.
 
     A canonical line is decoded by one pattern match. Any other non-blank
-    line goes to json.loads, which accepts what it accepts and otherwise
-    raises the canonical error. The first bad line raises CacheError.
+    line goes to json.loads, and each of its fields must already have its
+    declared JSON type. The first bad line raises CacheError.
     """
     records: list[ChangeRecord] = []
     strings: dict[str, str] = {}
@@ -512,17 +511,9 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
         elif not line.strip():
             continue
         else:
-            obj = _decode_line(path, line_no, line, _HISTORY_KEYS, "history")
-            try:
-                commit_id = str(obj["commit_id"])
-                commit_time = int(obj["commit_time"])
-                author = str(obj["author"])
-                file_path = str(obj["file_path"])
-                insertions = int(obj["insertions"])
-                deletions = int(obj["deletions"])
-                is_bug_fix = bool(obj["is_bug_fix"])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+            commit_id, commit_time, author, file_path, insertions, deletions, is_bug_fix = (
+                _decode_fields(path, line_no, line, _HISTORY_FIELDS, "history")
+            )
         if insertions < 0 or deletions < 0:
             raise CacheError(path, line_no, "negative churn")
         # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
@@ -545,18 +536,14 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
 
 
 def write_releases(releases: list[Release], path: str | Path) -> None:
+    """Write releases as one JSON line each, spelt as write_history spells
+    its lines."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for release in releases:
             fh.write(
-                _encode_row(
-                    {
-                        "tag_name": release.tag_name,
-                        "release_time": release.release_time,
-                        "ordinal": release.ordinal,
-                    }
-                )
+                _RELEASE_LINE
+                % (encode_basestring(release.tag_name), release.release_time, release.ordinal)
             )
-            fh.write("\n")
 
 
 def read_releases(path: str | Path) -> list[Release]:
@@ -567,15 +554,7 @@ def read_releases(path: str | Path) -> list[Release]:
     for line_no, line in enumerate(utf8_lines(path), start=1):
         if not line.strip():
             continue
-        obj = _decode_line(path, line_no, line, _RELEASE_KEYS, "release")
-        try:
-            release = Release(
-                tag_name=str(obj["tag_name"]),
-                release_time=int(obj["release_time"]),
-                ordinal=int(obj["ordinal"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        release = Release(*_decode_fields(path, line_no, line, _RELEASE_FIELDS, "release"))
         numbered.append((line_no, release))
     releases = [release for _, release in numbered]
     for position, (line_no, release) in enumerate(numbered, start=1):

@@ -228,20 +228,31 @@ def scott_knott_brute(
     return groups
 
 
+# Each history field with the JSON type its value must have: a string, an
+# integer that is not true or false, or true or false.
 _HISTORY_FIELDS = {
-    "commit_id",
-    "commit_time",
-    "author",
-    "file_path",
-    "insertions",
-    "deletions",
-    "is_bug_fix",
+    "commit_id": "a string",
+    "commit_time": "an integer",
+    "author": "a string",
+    "file_path": "a string",
+    "insertions": "an integer",
+    "deletions": "an integer",
+    "is_bug_fix": "a boolean",
 }
+
+
+def _has_json_type(value, type_name):
+    if type_name == "a string":
+        return isinstance(value, str)
+    if type_name == "an integer":
+        return isinstance(value, int) and not isinstance(value, bool)
+    return value is True or value is False
 
 
 def read_history_loop(path):
     """History cache reader: json.loads per non-blank line, then the key set
-    check, the field conversions and the churn check, in that order. A file
+    check, the JSON type of each field in field order and the churn check, in
+    that order. A file
     that is not UTF-8 raises the first such error among the lines before its
     first undecodable line, or else CacheError at that line, whose reason is
     that of decoding that line alone."""
@@ -277,20 +288,14 @@ def _history_lines_loop(path, lines):
             raise CacheError(path, line_no, f"invalid JSON: {exc}") from exc
         except ValueError as exc:  # an integer longer than int() may convert
             raise CacheError(path, line_no, f"bad field value: {exc}") from exc
-        if not isinstance(obj, dict) or set(obj) != _HISTORY_FIELDS:
+        if not isinstance(obj, dict) or set(obj) != set(_HISTORY_FIELDS):
             raise CacheError(path, line_no, "unexpected history record fields")
-        try:
-            record = ChangeRecord(
-                commit_id=str(obj["commit_id"]),
-                commit_time=int(obj["commit_time"]),
-                author=str(obj["author"]),
-                file_path=str(obj["file_path"]),
-                insertions=int(obj["insertions"]),
-                deletions=int(obj["deletions"]),
-                is_bug_fix=bool(obj["is_bug_fix"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CacheError(path, line_no, f"bad field value: {exc}") from exc
+        for name, type_name in _HISTORY_FIELDS.items():
+            if not _has_json_type(obj[name], type_name):
+                raise CacheError(
+                    path, line_no, f"bad field value: {name} = {obj[name]!r} is not {type_name}"
+                )
+        record = ChangeRecord(**obj)
         if record.insertions < 0 or record.deletions < 0:
             raise CacheError(path, line_no, "negative churn")
         records.append(record)

@@ -120,10 +120,10 @@ def _spy_git_commands(monkeypatch):
     return started
 
 
-def test_mine_starts_three_git_processes(tmp_path, fixture_repo, monkeypatch, capsys):
+def test_mine_starts_two_git_processes(tmp_path, fixture_repo, monkeypatch, capsys):
     started = _spy_git_commands(monkeypatch)
     assert main(["mine", str(fixture_repo), "--out", str(tmp_path / "o"), "--force"]) == 0
-    assert started == ["rev-parse", "log", "for-each-ref"]
+    assert started == ["log", "for-each-ref"]
     capsys.readouterr()
 
 
@@ -135,7 +135,7 @@ def test_mine_empty_repo_writes_empty_caches(tmp_path, monkeypatch, capsys):
     assert main(["mine", str(repo), "--out", str(out)]) == 2
     assert not out.exists()
     assert main(["mine", str(repo), "--out", str(out), "--force"]) == 0
-    assert started == ["rev-parse", "log", "for-each-ref"] * 2
+    assert started == ["log", "for-each-ref"] * 2
     assert out.joinpath("history.jsonl").read_bytes() == b""
     assert out.joinpath("releases.jsonl").read_bytes() == b""
     summary = json.loads(out.joinpath("summary.json").read_text(encoding="utf-8"))
@@ -145,9 +145,16 @@ def test_mine_empty_repo_writes_empty_caches(tmp_path, monkeypatch, capsys):
 
 
 def test_mine_missing_repo(tmp_path, capsys):
-    code = main(["mine", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    out = tmp_path / "o"
+    for repo, git_error in [
+        (tmp_path / "nowhere", "fatal: cannot change to"),
+        (plain, "fatal: not a git repository"),
+    ]:
+        assert main(["mine", str(repo), "--out", str(out), "--force"]) == 1
+        assert f"error: git log failed in {repo}: {git_error}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_mine_fails_when_git_log_dies(tmp_path, capsys):
@@ -558,6 +565,9 @@ _OUT_OF_RANGE_SETTINGS = {
     "infinite-decay-rate": ("--config", "decay_rate = inf", "decay_rate"),
     "infinite-support-threshold": ("--config", "support_threshold = inf", "support_threshold"),
     "infinite-trend-threshold": ("--config", "trend_threshold = inf", "trend_threshold"),
+    "bootstrap-iterations-over-bound": (
+        "--config", "bootstrap_iterations = 10001", "bootstrap_iterations"
+    ),
 }
 
 

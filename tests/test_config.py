@@ -50,12 +50,18 @@ def test_defaults():
         ({"trend_threshold": math.inf}, "trend_threshold"),
         ({"seed": 2**63}, "seed"),
         ({"seed": -(2**63) - 1}, "seed"),
+        ({"bootstrap_iterations": 10001}, "bootstrap_iterations"),
     ],
 )
 def test_validate_names_offending_key(kwargs, key):
     with pytest.raises(ConfigError) as excinfo:
         Config(**kwargs).validate()
     assert key in str(excinfo.value)
+
+
+@pytest.mark.parametrize("iterations", [100, 10_000])
+def test_validate_accepts_bootstrap_iterations_at_bounds(iterations):
+    assert Config(bootstrap_iterations=iterations).bootstrap_iterations == iterations
 
 
 @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])

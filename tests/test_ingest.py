@@ -301,10 +301,10 @@ def test_is_source_file_custom_extensions():
 
 
 def test_mine_rejects_missing_repo(tmp_path):
-    with pytest.raises(RepositoryError):
-        mine_repository(tmp_path / "nowhere")
-    with pytest.raises(RepositoryError):
-        mine_repository(tmp_path)  # exists but is not a repository
+    for path in (tmp_path / "nowhere", tmp_path):  # tmp_path is not a repository
+        with pytest.raises(RepositoryError, match="git log failed in ") as excinfo:
+            mine_repository(path)
+        assert str(path) in str(excinfo.value)
 
 
 def test_extract_releases_rejects_non_repository(tmp_path):
@@ -536,6 +536,9 @@ _READER_CASES = {
     "null-fields": _cache_bytes([_row(file_path=None, is_bug_fix=None)]),
     "list-count": _cache_bytes([_row(deletions=[1])]),
     "string-flag": _cache_bytes([_row(is_bug_fix="no")]),
+    "string-false-flag": _cache_bytes([_GOOD, _row(is_bug_fix="false")]),
+    "zero-flag": _cache_bytes([_row(is_bug_fix=0)]),
+    "true-count": _cache_bytes([_GOOD, _row(insertions=True)]),
     "negative-insertions": _cache_bytes([_GOOD, _row(insertions=-1)]),
     "negative-deletions": _cache_bytes([_row(deletions=-2)]),
     "field-error-before-json-error": _cache_bytes([_row(insertions=-1), "{oops"]),
@@ -622,6 +625,32 @@ def test_read_history_huge_integer_is_cache_error(tmp_path, field):
     assert excinfo.value.reason.startswith("bad field value: Exceeds the limit")
 
 
+# A line off the canonical pattern must hold each field with its JSON type:
+# json.loads gives "false" as a string and 5.9 as a float, never a flag or
+# an integer.
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"is_bug_fix": "false"}, "is_bug_fix = 'false' is not a boolean"),
+        ({"is_bug_fix": 0}, "is_bug_fix = 0 is not a boolean"),
+        ({"is_bug_fix": None}, "is_bug_fix = None is not a boolean"),
+        ({"file_path": None}, "file_path = None is not a string"),
+        ({"commit_time": 5.9}, "commit_time = 5.9 is not an integer"),
+        ({"insertions": "3"}, "insertions = '3' is not an integer"),
+        ({"deletions": True}, "deletions = True is not an integer"),
+        ({"commit_id": 7, "insertions": "3"}, "commit_id = 7 is not a string"),
+    ],
+    ids=["string-flag", "zero-flag", "null-flag", "null-path", "float-time", "string-count",
+         "true-count", "first-field-first"],
+)
+def test_read_history_takes_json_types_as_they_are(tmp_path, changes, reason):
+    path = tmp_path / "history.jsonl"
+    path.write_bytes(_cache_bytes([_GOOD, _row(**changes)]))
+    with pytest.raises(CacheError) as excinfo:
+        read_history(path)
+    assert (excinfo.value.line_no, excinfo.value.reason) == (2, f"bad field value: {reason}")
+
+
 # Every character the JSON encoder escapes, then some it writes as they are.
 _ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
 _WRITER_SPECIALS = [*_ESCAPED, "\x7f", "\u2028", "é", "\U0001f600", " => "]
@@ -682,22 +711,30 @@ class _Text(str):
         return "not the encoded text"
 
 
+# No producer makes a record of other field types; a str subclass is still
+# spelt by its text, as the encoder spells it.
 @pytest.mark.parametrize(
-    "record",
-    [
-        ChangeRecord("c", True, "a", "x.py", 1, 2, False),
-        ChangeRecord("c", 1, "a", "x.py", False, 2, True),
-        ChangeRecord("c", 1, "a", "x.py", 1, 2.0, True),
-        ChangeRecord("c", 1, "a", "x.py", 1, 2, 1),
-        ChangeRecord("c", 1, "a", "x.py", 1, 2, None),
-        ChangeRecord(_Text("c"), 1, "a", "x.py", 1, 2, True),
-    ],
-    ids=["bool-time", "bool-count", "float-count", "int-flag", "none-flag", "str-subclass"],
+    "record", [ChangeRecord(_Text("c"), 1, "a", "x.py", 1, 2, True)], ids=["str-subclass"]
 )
 def test_write_history_other_field_types_equal_json_writer(tmp_path, record):
     write_history([record], tmp_path / "history.jsonl")
     write_history_json([record], tmp_path / "reference.jsonl")
     assert (tmp_path / "history.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+
+def test_write_releases_equals_json_writer(tmp_path):
+    names = ['v"1', "v\\1", "a\nb", "\0", "\x7f", "\u2028", "é", "\U0001f600"]
+    releases = [Release(name, 100 * i, i) for i, name in enumerate(names, start=1)]
+    path = tmp_path / "releases.jsonl"
+    write_releases(releases, path)
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    expected = "".join(
+        encode({"tag_name": r.tag_name, "release_time": r.release_time, "ordinal": r.ordinal})
+        + "\n"
+        for r in releases
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+    assert read_releases(path) == releases
 
 
 def test_read_history_equals_loop_reference_on_fixture_cache(data_dir):
@@ -728,6 +765,21 @@ def test_read_history_shares_equal_strings(data_dir):
             id="huge-integer",
         ),
         pytest.param(_DEEP, "invalid JSON: maximum recursion depth exceeded", id="deep-nesting"),
+        pytest.param(
+            '{"tag_name": "v2", "release_time": 200, "ordinal": true}',
+            "bad field value: ordinal = True is not an integer",
+            id="true-ordinal",
+        ),
+        pytest.param(
+            '{"tag_name": "v2", "release_time": 200.9, "ordinal": 2}',
+            "bad field value: release_time = 200.9 is not an integer",
+            id="float-time",
+        ),
+        pytest.param(
+            '{"tag_name": null, "release_time": 100.9, "ordinal": true}',
+            "bad field value: tag_name = None is not a string",
+            id="null-tag-first",
+        ),
     ],
 )
 def test_read_releases_reports_first_bad_line(tmp_path, line, reason):
