@@ -284,6 +284,13 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    # Scott-Knott's bootstrap stack, which only this stage uses: loaded here,
+    # with the rest of the start-up, rather than inside the ranking.
+    import hashlib  # noqa: F401
+    import statistics  # noqa: F401
+
+    import numpy.random  # noqa: F401
+
     cfg = _resolve_config(args)
     report = build_report(args.assessment, cfg)
     write_report(report, args.out, args.assessment)

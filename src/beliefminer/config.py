@@ -82,8 +82,9 @@ class Config:
     def validate(self) -> None:
         if not self.extensions:
             raise ConfigError("extensions: must not be empty")
-        if self.post_days < 1:
-            raise ConfigError("post_days: must be >= 1")
+        # a century reaches past every later commit of any history
+        if not 1 <= self.post_days <= 36_500:
+            raise ConfigError("post_days: must lie in [1, 36500]")
         if self.period_days < 1:
             raise ConfigError("period_days: must be >= 1")
         if not 0 < self.decay_rate < math.inf:
@@ -98,7 +99,10 @@ class Config:
             raise ConfigError("support_threshold: must be positive and finite")
         if not 0 < self.trend_threshold < math.inf:
             raise ConfigError("trend_threshold: must be positive and finite")
-        # Scott-Knott's bootstrap holds iterations x pooled scores cells
+        # Scott-Knott's bootstrap resamples one side of a split at a time: an
+        # int32 index and a float64 value per cell, at most 12 bytes x
+        # iterations x the larger side (under 84 MB at 10,000 iterations
+        # for 698 pooled scores)
         if not 100 <= self.bootstrap_iterations <= 10_000:
             raise ConfigError("bootstrap_iterations: must lie in [100, 10000]")
         if not 0 < self.a12_threshold <= 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import os
 import re
 import subprocess
 import tempfile
@@ -163,13 +164,21 @@ def _stream_git(repo_path: str | Path, *args: str) -> Iterator[str]:
     output of a failed run. stderr goes to a temporary file, which cannot
     fill and stall git the way an unread pipe can. git is killed if the
     consumer stops early, and reaped on every path.
+
+    git looks for the repository at repo_path itself and never above it: a
+    plain directory inside a work tree is not a repository of its own.
     """
+    ceilings = [str(Path(repo_path).resolve().parent)]
+    if os.environ.get("GIT_CEILING_DIRECTORIES"):
+        ceilings.append(os.environ["GIT_CEILING_DIRECTORIES"])
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.pathsep.join(ceilings))
     with tempfile.TemporaryFile() as stderr:
         try:
             proc = subprocess.Popen(
                 ["git", "-C", str(repo_path), "-c", "core.quotepath=false", *args],
                 stdout=subprocess.PIPE,
                 stderr=stderr,
+                env=env,
             )
         except OSError as exc:
             raise RepositoryError(f"cannot run git: {exc}") from exc

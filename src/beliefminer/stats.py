@@ -4,17 +4,19 @@ Spearman rank correlation with exact or t-approximated p-values,
 Vargha-Delaney A12 effect size, a bootstrap difference-of-means test, and
 Scott-Knott ranking built on the latter two. Everything is deterministic
 given an explicit seed.
+
+Only report ranks and bootstraps, so the modules behind them (numpy.random,
+hashlib, statistics) are imported where they are used, not at start-up;
+cli.cmd_report imports them before it reads its config.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import math
 import os
-import statistics
 import struct
 import sys
 import types
@@ -24,9 +26,6 @@ from dataclasses import dataclass
 from math import fsum
 
 import numpy as np
-# Scott-Knott's bootstrap draws from numpy.random: load it at start-up, not
-# inside report's first default_rng call.
-import numpy.random  # noqa: F401
 import scipy
 
 from .config import DEFAULTS
@@ -264,6 +263,27 @@ def a12(m: list[float], n: list[float]) -> float:
     return (greater + 0.5 * equal) / (len(m) * len(n))
 
 
+def _bootstrap_reached(m: list[float], n: list[float], iterations: int, seed: int) -> int:
+    """How many of `iterations` pooled resamples reach the observed absolute
+    difference of the two samples' means."""
+    m_arr = np.asarray(m, dtype=float)
+    n_arr = np.asarray(n, dtype=float)
+    observed = abs(float(m_arr.mean()) - float(n_arr.mean()))
+    pooled = np.concatenate([m_arr, n_arr])
+    rng = np.random.default_rng(seed)
+
+    def resampled_means(size: int) -> np.ndarray:
+        # numpy draws a bounded integer below 2**32 from 32 bits whatever
+        # the dtype, so int32 indices are the same draws as int64 ones
+        idx = rng.integers(0, pooled.size, size=(iterations, size), dtype=np.int32)
+        return pooled[idx].mean(axis=1)
+
+    # m's side is drawn first, then n's; only one side's indices and
+    # gathered values are alive at a time
+    diffs = np.abs(resampled_means(m_arr.size) - resampled_means(n_arr.size))
+    return int(np.count_nonzero(diffs >= observed))
+
+
 def bootstrap_different(
     m: list[float],
     n: list[float],
@@ -280,22 +300,15 @@ def bootstrap_different(
         raise ValueError("iterations must be >= 100")
     if not m or not n:
         raise ValueError("bootstrap requires two nonempty samples")
-    m_arr = np.asarray(m, dtype=float)
-    n_arr = np.asarray(n, dtype=float)
-    observed = abs(float(m_arr.mean()) - float(n_arr.mean()))
-    pooled = np.concatenate([m_arr, n_arr])
-    rng = np.random.default_rng(seed)
-    idx_m = rng.integers(0, pooled.size, size=(iterations, m_arr.size))
-    idx_n = rng.integers(0, pooled.size, size=(iterations, n_arr.size))
-    diffs = np.abs(pooled[idx_m].mean(axis=1) - pooled[idx_n].mean(axis=1))
-    reached = int(np.count_nonzero(diffs >= observed))
-    return reached / iterations < BOOTSTRAP_ALPHA
+    return _bootstrap_reached(m, n, iterations, seed) / iterations < BOOTSTRAP_ALPHA
 
 
 def derive_split_seed(seed: int, lower: list[float], upper: list[float]) -> int:
     """Stable per-split bootstrap seed from the global seed and the split's
     actual values, so identical splits reuse identical randomness no matter
     how the recursion reached them."""
+    import hashlib
+
     digest = hashlib.blake2b(digest_size=8)
     digest.update(int(seed).to_bytes(8, "little", signed=True))
     digest.update(struct.pack("<I", len(lower)))
@@ -322,6 +335,8 @@ def split_is_distinct(
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """(Q1, median, Q3) with inclusive linear interpolation."""
+    import statistics
+
     if not values:
         raise ValueError("quartiles of an empty list")
     if len(values) == 1:
@@ -370,6 +385,8 @@ def scott_knott(
     survives only if split_is_distinct accepts it. Rank 1 is the lowest
     median group.
     """
+    import statistics
+
     if not treatments:
         raise ValueError("scott_knott requires at least one treatment")
     ordered = sorted(

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  (np.random.default_rng below)
 
 from .config import DEFAULTS, SECONDS_PER_DAY, ScenarioError, read_key_values
 from .config import _parse_float, _parse_int

@@ -13,6 +13,9 @@ pattern-matching one, and write_history_json the former dict-per-record
 encoder, the byte-exact reference for the template writer; the metric_*
 functions are the former one-walk-per-belief metrics, the reference for
 metrics.compute_all's single grouped pass;
+bootstrap_reached_two_arrays is the former bootstrap, which drew both
+sides' int64 indices before gathering either, the exact reference for the
+one-side-at-a-time int32 draws;
 rank_with_ties_loop and pearson_fsum are the former sweep ranks and fsum
 Pearson, the bit-exact reference for spearman's numpy ranks and centred
 sums; rank_with_ties is the list API over those numpy ranks, which the
@@ -183,6 +186,20 @@ def a12_brute(m, n):
             elif a == b:
                 wins += 0.5
     return wins / (len(m) * len(n))
+
+
+def bootstrap_reached_two_arrays(m, n, iterations: int, seed: int) -> int:
+    """Resampled absolute mean differences that reach the observed one, with
+    every index of both sides drawn up front."""
+    m_arr = np.asarray(m, dtype=float)
+    n_arr = np.asarray(n, dtype=float)
+    observed = abs(float(m_arr.mean()) - float(n_arr.mean()))
+    pooled = np.concatenate([m_arr, n_arr])
+    rng = np.random.default_rng(seed)
+    idx_m = rng.integers(0, pooled.size, size=(iterations, m_arr.size))
+    idx_n = rng.integers(0, pooled.size, size=(iterations, n_arr.size))
+    diffs = np.abs(pooled[idx_m].mean(axis=1) - pooled[idx_n].mean(axis=1))
+    return int(np.count_nonzero(diffs >= observed))
 
 
 def scott_knott_brute(

@@ -157,6 +157,39 @@ def test_mine_missing_repo(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_mine_rejects_a_plain_subdirectory_of_a_repository(tmp_path, fixture_repo, capsys):
+    # git would otherwise find the enclosing repository and mine all of it
+    sub = fixture_repo / "core"
+    assert sub.is_dir() and not (sub / ".git").exists()
+    out = tmp_path / "o"
+    assert main(["mine", str(sub), "--out", str(out), "--force"]) == 1
+    assert f"error: git log failed in {sub}: fatal: not a git repository" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("form", ["git-dir", "bare", "symlink"])
+def test_mine_accepts_the_repository_in_any_form(tmp_path, fixture_repo, data_dir, capsys, form):
+    if form == "git-dir":
+        repo = fixture_repo / ".git"
+    elif form == "bare":
+        repo = tmp_path / "bare.git"
+        subprocess.run(
+            ["git", "clone", "-q", "--bare", str(fixture_repo), str(repo)],
+            check=True, capture_output=True,
+        )
+    else:
+        repo = tmp_path / "link"
+        repo.symlink_to(fixture_repo, target_is_directory=True)
+    out = tmp_path / "o"
+    assert main(["mine", str(repo), "--out", str(out), "--force"]) == 0
+    capsys.readouterr()
+    for name, golden in [
+        ("history.jsonl", "fixture_history.jsonl"),
+        ("releases.jsonl", "fixture_releases.jsonl"),
+    ]:
+        assert out.joinpath(name).read_bytes() == (data_dir / golden).read_bytes()
+
+
 def test_mine_fails_when_git_log_dies(tmp_path, capsys):
     repo = tmp_path / "broken"
     delete_loose_object(repo, build_two_commit_repo(repo, ("add first", "add second"))[0])
@@ -568,6 +601,7 @@ _OUT_OF_RANGE_SETTINGS = {
     "bootstrap-iterations-over-bound": (
         "--config", "bootstrap_iterations = 10001", "bootstrap_iterations"
     ),
+    "post-days-over-bound": ("--config", "post_days = 36501", "post_days"),
 }
 
 
@@ -964,7 +998,46 @@ def test_cli_import_loads_stdtr_without_scipy_special_package():
         "import sys, beliefminer.cli\n"
         "print(sorted(m for m in ('scipy.special', 'numpy.random') if m in sys.modules))"
     )
-    assert _run_python(probe).strip() == "['numpy.random']"
+    assert _run_python(probe).strip() == "[]"
+
+
+# What only Scott-Knott's bootstrap needs: numpy.random (with hmac and
+# OpenSSL's hashes behind it), the split seeds' hashlib, and statistics.
+_RANKING_MODULES = ("numpy.random", "hashlib", "_hashlib", "hmac", "statistics")
+
+
+def test_only_report_loads_the_ranking_modules(tmp_path, data_dir):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    probe = (
+        "import sys\n"
+        "from beliefminer.cli import main\n"
+        f"modules = {_RANKING_MODULES!r}\n"
+        "imported = sorted(m for m in modules if m in sys.modules)\n"
+        f"code = main(['assess', {str(caches)!r}, '--out', {str(tmp_path / 'a')!r}])\n"
+        "print(code, imported, sorted(m for m in modules if m in sys.modules))\n"
+    )
+    assert _run_python(probe).splitlines()[-1] == "0 [] []"
+
+
+def test_report_loads_the_ranking_modules_before_reading_its_config(tmp_path, data_dir):
+    # so that they are part of report's start-up, not of its work
+    probe = (
+        "import sys\n"
+        "from beliefminer import cli\n"
+        "resolve, loaded = cli._resolve_config, []\n"
+        "def spy(args):\n"
+        "    cfg = resolve(args)\n"
+        "    loaded.append(sorted(m for m in ('numpy.random', 'hashlib', 'statistics')"
+        " if m in sys.modules))\n"
+        "    return cfg\n"
+        "cli._resolve_config = spy\n"
+        f"code = cli.main(['report', {str(data_dir / 'fixture_assess')!r},"
+        f" '--out', {str(tmp_path / 'r')!r}])\n"
+        "print(code, loaded)\n"
+    )
+    last = _run_python(probe).splitlines()[-1]
+    assert last == "0 [['hashlib', 'numpy.random', 'statistics']]"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])

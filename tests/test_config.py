@@ -51,12 +51,18 @@ def test_defaults():
         ({"seed": 2**63}, "seed"),
         ({"seed": -(2**63) - 1}, "seed"),
         ({"bootstrap_iterations": 10001}, "bootstrap_iterations"),
+        ({"post_days": 36_501}, "post_days"),
     ],
 )
 def test_validate_names_offending_key(kwargs, key):
     with pytest.raises(ConfigError) as excinfo:
         Config(**kwargs).validate()
     assert key in str(excinfo.value)
+
+
+@pytest.mark.parametrize("days", [1, 36_500])
+def test_validate_accepts_post_days_at_bounds(days):
+    assert Config(post_days=days).post_days == days
 
 
 @pytest.mark.parametrize("iterations", [100, 10_000])

@@ -32,6 +32,7 @@ from beliefminer.stats import (
 
 from oracles import (
     a12_brute,
+    bootstrap_reached_two_arrays,
     exact_permutation_p,
     exact_permutation_p_loop,
     mc_permutation_p,
@@ -383,6 +384,28 @@ def test_bootstrap_power_on_shifted_samples():
         if bootstrap_different(m, n, seed=trial):
             rejections += 1
     assert rejections / trials >= 0.90
+
+
+# (size of m, size of n): single values, balanced splits, lopsided ones like
+# git-history's 650/48 root split, and pooled sizes of 2**k - 1 and 2**k + 1
+_BOOTSTRAP_SIZES = [
+    (1, 1), (2, 1), (1, 2), (6, 6), (40, 40), (650, 48), (48, 650),
+    (3, 4), (4, 5), (31, 32), (32, 33), (100, 155), (128, 129),
+]
+
+
+@pytest.mark.parametrize("iterations", [100, 10_000])
+@pytest.mark.parametrize("sizes", _BOOTSTRAP_SIZES, ids=lambda s: f"{s[0]}-{s[1]}")
+def test_bootstrap_matches_two_array_oracle(sizes, iterations):
+    # the same resampled means, so the same count reaching the observed
+    # difference, under small seeds and 64-bit split seeds alike
+    rng = np.random.default_rng(sizes[0] * 1000 + sizes[1])
+    for seed in (0, 1, 7, 2**64 - 1):
+        m = [float(v) for v in rng.uniform(-1, 1, sizes[0]).round(2)]
+        n = [float(v) for v in rng.uniform(-0.9, 1, sizes[1]).round(2)]
+        reached = stats._bootstrap_reached(m, n, iterations, seed)
+        assert reached == bootstrap_reached_two_arrays(m, n, iterations, seed)
+        assert bootstrap_different(m, n, iterations, seed) is (reached / iterations < 0.05)
 
 
 def test_bootstrap_validation():
