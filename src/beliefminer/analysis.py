@@ -45,6 +45,9 @@ LABEL_VERY_STRONG = "very_strong"
 
 EXCLUDE_TOO_FEW = "too_few_observations"
 EXCLUDE_NOT_SIGNIFICANT = "not_significant"
+_EXCLUSION_REASONS = (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT)
+
+_FIX_TIME = attrgetter("commit_time")
 
 
 @dataclass
@@ -157,7 +160,7 @@ def belief_population(
     counted by reason so reports can say why a release is missing.
     """
     scores: list[SupportScore] = []
-    exclusions = {EXCLUDE_TOO_FEW: 0, EXCLUDE_NOT_SIGNIFICANT: 0}
+    exclusions = dict.fromkeys(_EXCLUSION_REASONS, 0)
     for window, vector in scored_windows:
         if vector.belief_id != belief_id:
             raise ValueError(
@@ -190,18 +193,23 @@ def assess_project(
     releases: list[Release],
     cfg: Config = DEFAULTS,
 ) -> ProjectAssessment:
-    """Run windowing, metrics, and population construction for one project."""
+    """Run windowing, metrics, and population construction for one project.
+
+    Each qualified window is scored as soon as its ten vectors are computed,
+    and the vectors are dropped before the next window's are, so one
+    window's vectors are alive at a time.
+    """
     windows = build_windows(releases, records, cfg)
     # Each window's defect count reads only its own files' bug fixes inside
     # its post horizon (pre_end, post_end], found by bisection on each
     # file's fixes in time order.
-    fix_time = attrgetter("commit_time")
     fix_index: dict[str, list[ChangeRecord]] = defaultdict(list)
-    for record in sorted((r for r in records if r.is_bug_fix), key=fix_time):
+    for record in sorted((r for r in records if r.is_bug_fix), key=_FIX_TIME):
         fix_index[record.file_path].append(record)
     window_rows: list[WindowRow] = []
-    per_belief: dict[str, list[tuple[ReleaseWindow, BeliefVector]]] = {
-        belief: [] for belief in BELIEF_IDS
+    populations = {
+        belief: BeliefPopulation(belief, project_id, [], dict.fromkeys(_EXCLUSION_REASONS, 0))
+        for belief in BELIEF_IDS
     }
     for window in windows:
         qualified = qualify_window(window, cfg)
@@ -215,28 +223,41 @@ def assess_project(
                 qualified=qualified,
             )
         )
-        if not qualified:
-            continue
-        horizon: list[ChangeRecord] = []
-        for path in window.files:
-            fixes = fix_index.get(path)
-            if fixes:
-                lo = bisect_right(fixes, window.pre_end, key=fix_time)
-                hi = bisect_right(fixes, window.post_end, key=fix_time)
-                horizon += fixes[lo:hi]
-        defects = count_post_defects(window, horizon)
-        for vector in compute_all(window, defects, cfg):
-            per_belief[vector.belief_id].append((window, vector))
-    with shared_y_ranks():
-        populations = {
-            belief: belief_population(project_id, belief, per_belief[belief], cfg)
-            for belief in BELIEF_IDS
-        }
+        if qualified:
+            _score_window(window, fix_index, populations, cfg)
     return ProjectAssessment(
         project_id=project_id,
         populations=populations,
         window_rows=window_rows,
     )
+
+
+def _score_window(
+    window: ReleaseWindow,
+    fix_index: dict[str, list[ChangeRecord]],
+    populations: dict[str, BeliefPopulation],
+    cfg: Config,
+) -> None:
+    """Count one qualified window's defects, compute its ten vectors and add
+    their scores and exclusions to the project's populations. The vectors
+    and the y ranks they share live only inside this call."""
+    horizon: list[ChangeRecord] = []
+    for path in window.files:
+        fixes = fix_index.get(path)
+        if fixes:
+            lo = bisect_right(fixes, window.pre_end, key=_FIX_TIME)
+            hi = bisect_right(fixes, window.post_end, key=_FIX_TIME)
+            horizon += fixes[lo:hi]
+    defects = count_post_defects(window, horizon)
+    with shared_y_ranks():
+        for vector in compute_all(window, defects, cfg):
+            population = populations[vector.belief_id]
+            scored = belief_population(
+                population.project_id, population.belief_id, [(window, vector)], cfg
+            )
+            population.scores += scored.scores
+            for reason, count in scored.exclusions.items():
+                population.exclusions[reason] += count
 
 
 def support_label(rho: float) -> str:
@@ -613,7 +634,7 @@ def write_exclusions_csv(populations: list[BeliefPopulation], path: Path) -> Non
                 population.exclusions.get(reason, 0),
             )
             for population in ordered
-            for reason in (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT)
+            for reason in _EXCLUSION_REASONS
         ),
     )
 

@@ -273,6 +273,13 @@ def cmd_assess(args: argparse.Namespace) -> int:
         )
         all_window_rows.extend(assessment.window_rows)
         summary_rows.append(_project_summary(project_id, project_dir, records, releases))
+    # an assessment that can correlate nothing is not a result
+    if not any(row.qualified for row in all_window_rows):
+        print(
+            f"error: no project has a qualified window (min_files = {cfg.min_files})",
+            file=sys.stderr,
+        )
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_populations_csv(all_populations, out_dir / "populations.csv")

@@ -47,6 +47,19 @@ DEFAULT_EXTENSIONS: frozenset[str] = frozenset(
 SECONDS_PER_DAY = 86400
 
 
+# The post-release horizon in days, for assess and synth alike: a century
+# reaches past every later commit of any history.
+POST_DAYS_RANGE = (1, 36_500)
+
+
+def post_days_error(post_days: int) -> str | None:
+    """Why post_days is out of POST_DAYS_RANGE, or None when it is in."""
+    low, high = POST_DAYS_RANGE
+    if low <= post_days <= high:
+        return None
+    return f"post_days: must lie in [{low}, {high}]"
+
+
 class ConfigError(ValueError):
     """A config file or value is invalid; message names the offending key."""
 
@@ -82,9 +95,8 @@ class Config:
     def validate(self) -> None:
         if not self.extensions:
             raise ConfigError("extensions: must not be empty")
-        # a century reaches past every later commit of any history
-        if not 1 <= self.post_days <= 36_500:
-            raise ConfigError("post_days: must lie in [1, 36500]")
+        if (error := post_days_error(self.post_days)) is not None:
+            raise ConfigError(error)
         if self.period_days < 1:
             raise ConfigError("period_days: must be >= 1")
         if not 0 < self.decay_rate < math.inf:

@@ -496,7 +496,8 @@ def _decode_fields(
 
 def read_history(path: str | Path) -> list[ChangeRecord]:
     """Read a history cache line by line; equal commit ids, authors and
-    paths share one string object.
+    paths share one string object, and a record whose commit time equals the
+    previous record's shares that record's int, as a commit's records do.
 
     A canonical line is decoded by one pattern match. Any other non-blank
     line goes to json.loads, and each of its fields must already have its
@@ -507,6 +508,7 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
     share = strings.setdefault
     canonical = _CANONICAL_HISTORY_LINE.fullmatch
     new_record = tuple.__new__
+    last_time = None
     for line_no, line in enumerate(utf8_lines(path), start=1):
         match = canonical(line)
         if match is not None:
@@ -525,6 +527,9 @@ def read_history(path: str | Path) -> list[ChangeRecord]:
             )
         if insertions < 0 or deletions < 0:
             raise CacheError(path, line_no, "negative churn")
+        if commit_time == last_time:
+            commit_time = last_time
+        last_time = commit_time
         # tuple.__new__ skips the Python-level __new__ that ChangeRecord(...)
         # calls; the seven values are the fields in order.
         records.append(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  (np.random.default_rng below)
 
-from .config import DEFAULTS, SECONDS_PER_DAY, ScenarioError, read_key_values
+from .config import DEFAULTS, SECONDS_PER_DAY, ScenarioError, post_days_error, read_key_values
 from .config import _parse_float, _parse_int
 from .ingest import ChangeRecord, Release
 from .labeling import DEFAULT_STEMS, classify_message
@@ -82,13 +82,10 @@ class ScenarioSpec:
             raise ScenarioError("noise_seed: must be >= 0")
         if not 0.0 <= self.bug_fix_rate <= 1.0:
             raise ScenarioError("bug_fix_rate: must lie in [0, 1]")
-        if self.post_days < 1:
-            raise ScenarioError("post_days: must be >= 1")
-        # commit times are drawn as signed 64-bit integers
-        if _last_time(self) >= 2**63:
-            raise ScenarioError(
-                "post_days: too large; the last commit time must stay below 2**63"
-            )
+        # assess's own range, which also keeps every commit time, drawn as a
+        # signed 64-bit integer, below 2**33
+        if (error := post_days_error(self.post_days)) is not None:
+            raise ScenarioError(error)
         if _spacing(self) < _MIN_SPACING:
             raise ScenarioError(
                 "releases: too many releases to fit inside the post_days horizon"

@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import compress, islice
+from operator import attrgetter, eq
 
 from .config import DEFAULTS, SECONDS_PER_DAY, Config
 from .ingest import ChangeRecord, Release, is_source_file
@@ -73,8 +74,20 @@ def build_windows(
     extensions = frozenset(cfg.extensions)
     source_paths = {path for path in paths if is_source_file(path, extensions)}
     source = [r for r in records if r.file_path in source_paths]
-    source.sort(key=attrgetter("commit_time", "commit_id", "file_path"))
+    # In (commit_time, commit_id, file_path) order: by time, then each run of
+    # equal times by the other two. Both sorts are stable, and only a run's
+    # records get a key tuple, one run at a time.
+    source.sort(key=attrgetter("commit_time"))
     times = [r.commit_time for r in source]
+    by_commit_and_path = attrgetter("commit_id", "file_path")
+    start = end = 0  # the open run of equal times, source[start:end]
+    # each i whose record has the time of record i - 1
+    for i in compress(range(1, len(times)), map(eq, times, islice(times, 1, None))):
+        if i != end:
+            source[start:end] = sorted(source[start:end], key=by_commit_and_path)
+            start = i - 1
+        end = i + 1
+    source[start:end] = sorted(source[start:end], key=by_commit_and_path)
     last_time = max((r.commit_time for r in records), default=None)
 
     windows: list[ReleaseWindow] = []

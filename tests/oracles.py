@@ -12,7 +12,9 @@ is the former one-json.loads-per-line cache reader, the reference for the
 pattern-matching one, and write_history_json the former dict-per-record
 encoder, the byte-exact reference for the template writer; the metric_*
 functions are the former one-walk-per-belief metrics, the reference for
-metrics.compute_all's single grouped pass;
+metrics.compute_all's single grouped pass; assess_project_batched is the
+former assess_project, which held every window's vectors and built the
+populations last, the reference for the one-window-at-a-time scoring;
 bootstrap_reached_two_arrays is the former bootstrap, which drew both
 sides' int64 indices before gathering either, the exact reference for the
 one-side-at-a-time int32 draws;
@@ -36,12 +38,24 @@ from pathlib import Path
 
 import numpy as np
 
+from beliefminer.analysis import (
+    BeliefPopulation,
+    ProjectAssessment,
+    WindowRow,
+    belief_population,
+)
 from beliefminer.config import DEFAULTS, SECONDS_PER_DAY, Config
 from beliefminer.ingest import CacheError, ChangeRecord
 from beliefminer.labeling import KeywordSet
-from beliefminer.metrics import BeliefVector
-from beliefminer.stats import Treatment, _average_ranks, split_is_distinct
-from beliefminer.windowing import DefectCounts, ReleaseWindow
+from beliefminer.metrics import BELIEF_IDS, BeliefVector, compute_all
+from beliefminer.stats import Treatment, _average_ranks, shared_y_ranks, split_is_distinct
+from beliefminer.windowing import (
+    DefectCounts,
+    ReleaseWindow,
+    build_windows,
+    count_post_defects,
+    qualify_window,
+)
 
 
 def rank_with_ties(values: list[float]) -> list[float]:
@@ -496,3 +510,35 @@ def metric_b10_minor_share(
         minors = sum(1 for amount in per_author.values() if amount / total < 0.05)
         values[path] = 100.0 * minors / len(per_author)
     return _file_vector("B10", values, defects)
+
+
+def assess_project_batched(
+    project_id: str, records, releases, cfg: Config = DEFAULTS
+) -> ProjectAssessment:
+    """Assessment of one project that computes every qualified window's ten
+    vectors first, each window's defects counted over all records, and then
+    builds each belief's population over all its windows at once."""
+    window_rows = []
+    per_belief = {belief: [] for belief in BELIEF_IDS}
+    for window in build_windows(releases, records, cfg):
+        qualified = qualify_window(window, cfg)
+        window_rows.append(
+            WindowRow(
+                project_id,
+                window.release.ordinal,
+                window.release.release_time,
+                window.distinct_files,
+                window.right_censored,
+                qualified,
+            )
+        )
+        if qualified:
+            defects = count_post_defects(window, records)
+            for vector in compute_all(window, defects, cfg):
+                per_belief[vector.belief_id].append((window, vector))
+    with shared_y_ranks():
+        populations: dict[str, BeliefPopulation] = {
+            belief: belief_population(project_id, belief, per_belief[belief], cfg)
+            for belief in BELIEF_IDS
+        }
+    return ProjectAssessment(project_id, populations, window_rows)

@@ -3,6 +3,7 @@
 import logging
 import math
 import random
+import weakref
 
 import pytest
 
@@ -41,10 +42,15 @@ from beliefminer.ingest import (
     Release,
     extract_releases,
     mine_repository,
+    read_history,
+    read_releases,
 )
-from beliefminer.metrics import BeliefVector
+from beliefminer.metrics import BeliefVector, compute_all
 from beliefminer.stats import SupportScore
+from beliefminer.synthgen import ScenarioSpec, generate
 from beliefminer.windowing import ReleaseWindow
+
+from oracles import assess_project_batched
 
 
 def _scored_window(ordinal, x, y, belief="B3"):
@@ -245,10 +251,12 @@ def test_assess_project_shares_defect_ranks_within_the_project_only(monkeypatch)
     monkeypatch.setattr(analysis, "belief_population", spy)
     assessment = assess_project("p", records, releases, cfg)
     assert stats._y_ranks is None
-    # at most one entry per window for the file-level beliefs, one for B5's
-    # and one for B6's vectors
+    # one call per (qualified window, belief), while the memo holds only the
+    # window's own ranks: at most one entry for the file-level beliefs, one
+    # for B5's and one for B6's vectors
     windows = sum(row.qualified for row in assessment.window_rows)
-    assert 0 < memo_sizes[0] <= memo_sizes[-1] <= 3 * windows
+    assert len(memo_sizes) == 10 * windows
+    assert 0 < max(memo_sizes) <= 3
 
     def failing(*args, **kwargs):
         real(*args, **kwargs)
@@ -258,6 +266,104 @@ def test_assess_project_shares_defect_ranks_within_the_project_only(monkeypatch)
     with pytest.raises(RuntimeError):
         assess_project("p", records, releases, cfg)
     assert stats._y_ranks is None
+
+
+# --- assess_project against the batched reference ---------------------------------
+
+
+def _assert_matches_batched(records, releases, cfg=Config()):
+    """assess_project equals the reference that holds every vector and builds
+    the populations last: each population's scores in order and its
+    exclusion counts, and the window rows."""
+    assessment = assess_project("p", records, releases, cfg)
+    reference = assess_project_batched("p", records, releases, cfg)
+    assert assessment.window_rows == reference.window_rows
+    assert list(assessment.populations) == list(reference.populations)
+    for belief, population in assessment.populations.items():
+        expected = reference.populations[belief]
+        assert population.scores == expected.scores, belief
+        assert population.exclusions == expected.exclusions, belief
+    assert assessment == reference
+    return assessment
+
+
+def _all_vectors(records, releases, cfg):
+    return [
+        vector
+        for window in windowing.build_windows(releases, records, cfg)
+        if windowing.qualify_window(window, cfg)
+        for vector in compute_all(window, windowing.count_post_defects(window, records), cfg)
+    ]
+
+
+def test_assess_project_matches_batched_on_fixture_caches(data_dir):
+    records = read_history(data_dir / "fixture_history.jsonl")
+    releases = read_releases(data_dir / "fixture_releases.jsonl")
+    _assert_matches_batched(records, releases)
+
+
+@pytest.mark.parametrize("belief", ["B3", "B9", None])
+def test_assess_project_matches_batched_on_synth_project(belief):
+    spec = ScenarioSpec(releases=16, files_min=6, files_max=30, planted_belief=belief)
+    assessment = _assert_matches_batched(*generate(spec))
+    assert sum(row.qualified for row in assessment.window_rows) == 15
+    # significant scores kept and others dropped, in the same windows
+    for population in assessment.populations.values():
+        if population.belief_id == belief:
+            assert population.scores and population.exclusions[EXCLUDE_NOT_SIGNIFICANT]
+
+
+def test_assess_project_matches_batched_below_min_observations():
+    records, releases = generate(ScenarioSpec(releases=12, files_min=4, files_max=12))
+    cfg = Config(min_observations=7)
+    assessment = _assert_matches_batched(records, releases, cfg)
+    # some of a belief's windows below min_observations, and others scored
+    too_few = [p.exclusions[EXCLUDE_TOO_FEW] for p in assessment.populations.values()]
+    assert any(0 < count < 11 for count in too_few)
+    assert any(p.scores for p in assessment.populations.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_assess_project_matches_batched_with_constant_vectors(seed):
+    # a sixth of the commits: many x vectors are constant, and a window
+    # whose files have no fix in its horizon has an all-zero y
+    records, releases, cfg = _tied_history(seed)
+    records = [r for r in records if r.file_path != "src/late.py"][::6]
+    vectors = _all_vectors(records, releases, cfg)
+    assert any(v.n >= 2 and min(v.x) == max(v.x) for v in vectors)
+    assert any(v.n >= 2 and min(v.y) == max(v.y) for v in vectors)
+    assert any(v.n >= 2 and min(v.x) < max(v.x) and min(v.y) < max(v.y) for v in vectors)
+    _assert_matches_batched(records, releases, cfg)
+
+
+def test_assess_project_matches_batched_with_exact_p_values():
+    spec = ScenarioSpec(
+        releases=12, files_min=6, files_max=8, planted_belief="B8", planted_strength=1.0
+    )
+    assessment = _assert_matches_batched(*generate(spec))
+    scores = [s for p in assessment.populations.values() for s in p.scores]
+    assert scores and all(s.n <= stats.EXACT_P_MAX_N for s in scores)
+
+
+def test_assess_project_drops_each_window_vectors_before_the_next(monkeypatch, data_dir):
+    real = analysis.compute_all
+    previous: list[weakref.ref] = []
+    windows = 0
+
+    def tracked(*args, **kwargs):
+        nonlocal windows
+        vectors = real(*args, **kwargs)
+        assert [ref() for ref in previous] == [None] * len(previous)
+        previous[:] = [weakref.ref(vector) for vector in vectors]
+        windows += 1
+        return vectors
+
+    monkeypatch.setattr(analysis, "compute_all", tracked)
+    spec = ScenarioSpec(releases=8, files_min=6, files_max=12, planted_belief="B3")
+    assessment = assess_project("p", *generate(spec))
+    assert windows == sum(row.qualified for row in assessment.window_rows) == 7
+    assert len(previous) == 10
+    assert [ref() for ref in previous] == [None] * 10
 
 
 # --- labels, coverage, prevalence ----------------------------------------------

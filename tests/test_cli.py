@@ -317,17 +317,31 @@ def test_assess_derives_summary_when_json_missing(tmp_path, data_dir):
 
 
 def test_assess_reports_no_qualified_windows(tmp_path, capsys):
-    scenario = tmp_path / "scenario.txt"
-    scenario.write_text(
+    tiny = tmp_path / "tiny"
+    tiny.write_text(
         "releases = 4\nfiles_per_release = 2\nplanted_belief = none\n",
         encoding="utf-8",
     )
-    caches = tmp_path / "tiny"
-    assert main(["synth", str(scenario), "--out", str(caches)]) == 0
+    wide = tmp_path / "wide"
+    wide.write_text("releases = 4\nfiles_per_release = 8\n", encoding="utf-8")
+    caches = tmp_path / "caches"
+    for scenario in (tiny, wide):
+        assert main(["synth", str(scenario), "--out", str(caches / scenario.name)]) == 0
     out = tmp_path / "assessment"
+    # one project without qualified windows next to one with them
     assert main(["assess", str(caches), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "tiny: no qualified windows (nothing to correlate)" in stdout
+    assert "wide: 3 windows, 3 qualified" in stdout
+    assert (out / "windows.csv").is_file()
+
+    # no project with a qualified window: an error, and nothing written
+    empty = tmp_path / "empty"
+    assert main(["assess", str(caches / "tiny"), "--out", str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert "tiny: no qualified windows (nothing to correlate)" in captured.out
+    assert captured.err == "error: no project has a qualified window (min_files = 3)\n"
+    assert not empty.exists()
 
 
 def test_assess_missing_inputs(tmp_path, capsys):
@@ -958,6 +972,15 @@ def test_synth_out_of_range_scenario_exits_one(tmp_path, capsys, body, field):
     out = tmp_path / "o"
     assert main(["synth", str(scenario), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
+
+
+def test_synth_rejects_post_days_that_assess_rejects(tmp_path, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("post_days = 40000\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", str(scenario), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: post_days: must lie in [1, 36500]\n"
     assert not out.exists()
 
 

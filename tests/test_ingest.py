@@ -753,6 +753,34 @@ def test_read_history_shares_equal_strings(data_dir):
             assert first.setdefault(value, value) is value
 
 
+def test_read_history_shares_each_commit_time(tmp_path, data_dir):
+    records = read_history(data_dir / "fixture_history.jsonl")
+    times: dict[str, int] = {}
+    for record in records:
+        assert times.setdefault(record.commit_id, record.commit_time) is record.commit_time
+    assert len(times) < len(records)
+
+    # a commit whose records are not consecutive, two commits in the same
+    # second, and a line that is not in the canonical spelling
+    second = 1_700_000_000
+    written = [
+        ChangeRecord("c1", second, "a", "x.py", 1, 0, False),
+        ChangeRecord("c1", second, "a", "y.py", 2, 0, False),
+        ChangeRecord("c2", second, "b", "x.py", 3, 0, True),
+        ChangeRecord("c1", second, "a", "z.py", 4, 0, False),
+        ChangeRecord("c3", second + 1, "b", "x.py", 5, 0, False),
+        ChangeRecord("c3", second + 1, "b", "y.py", 6, 0, False),
+    ]
+    path = tmp_path / "history.jsonl"
+    write_history(written, path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[5] = json.dumps(written[5]._asdict(), indent=1).replace("\n", "") + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    read = read_history(path)
+    assert read == written
+    assert read[4].commit_time is read[5].commit_time
+
+
 @pytest.mark.parametrize(
     "line, reason",
     [

@@ -38,11 +38,9 @@ def _window_rhos(records, releases, spec, metric):
 # --- spec validation -----------------------------------------------------------
 
 
-# With three releases the last one is two days after the first, and the
-# last commit a minute past its horizon: the largest post_days that keeps
-# that commit time below 2**63.
 _THREE_RELEASES = {"releases": 3, "files_min": 2, "files_max": 2}
-_MAX_POST_DAYS = 106_751_991_149_937
+# The largest post_days that assess accepts, so synth accepts no more.
+_MAX_POST_DAYS = 36_500
 
 
 @pytest.mark.parametrize(
@@ -71,8 +69,16 @@ def test_spec_validation_names_field(kwargs, field):
 
 def test_spec_boundary_values_generate():
     assert generate(ScenarioSpec(**_THREE_RELEASES, noise_seed=0))
-    records, _ = generate(ScenarioSpec(**_THREE_RELEASES, post_days=_MAX_POST_DAYS))
-    assert 2**63 - 86400 < records[-1].commit_time < 2**63
+    records, releases = generate(ScenarioSpec(**_THREE_RELEASES, post_days=_MAX_POST_DAYS))
+    # a minute past the last release's horizon, far inside 64 bits
+    horizon_end = releases[-1].release_time + _MAX_POST_DAYS * 86400
+    assert records[-1].commit_time == horizon_end + 60 < 2**33
+
+
+@pytest.mark.parametrize("post_days", [1, _MAX_POST_DAYS])
+def test_spec_accepts_post_days_at_both_bounds(post_days):
+    assert ScenarioSpec(post_days=post_days).post_days == post_days
+    assert Config(post_days=post_days).post_days == post_days
 
 
 def test_unsupported_belief_error_lists_options():

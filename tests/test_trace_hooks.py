@@ -32,11 +32,24 @@ install(tracer)
 codes = [
     cli.main(["mine", repo, "--out", work + "/cache", "--force"]),
     cli.main(["synth", work + "/scenario.txt", "--out", work + "/synth"]),
-    cli.main(["assess", work + "/synth", "--out", work + "/assess"]),
-    cli.main(["report", work + "/assess", "--out", work + "/report"]),
 ]
+first_span, counters = len(tracer.spans), dict(tracer.counters)
+codes.append(cli.main(["assess", work + "/synth", "--out", work + "/assess"]))
+assess_spans = [span[1] for span in tracer.spans[first_span:]]
+assess_counts = {
+    name: assess_spans.count(name)
+    for name in ("stats.spearman", "stats.permutation_p", "stats.t_approximation_p")
+}
+assess_counts.update(
+    (name, value - counters.get(name, 0.0))
+    for name, value in tracer.counters.items()
+    if name.startswith("analysis.")
+)
+codes.append(cli.main(["report", work + "/assess", "--out", work + "/report"]))
 print(json.dumps({
     "codes": codes,
+    "assess_counts": assess_counts,
+    "belief_population_calls": assess_spans.count("analysis.belief_population"),
     "resolve_config": callable(getattr(cli, "_resolve_config", None)),
     "wrapped": sorted(set(wrapped)),
     "spans": sorted({span[1] for span in tracer.spans}),
@@ -62,3 +75,16 @@ def test_tracer_hooks_cover_the_pipeline(tmp_path, fixture_repo):
     assert outcome["resolve_config"]
     assert len(outcome["wrapped"]) == 22
     assert sorted(set(outcome["wrapped"]) - set(outcome["spans"])) == []
+    # What `assess` alone correlates and keeps on this scenario: 11 windows
+    # x 10 beliefs, 8 of them below min_observations. A change to how the
+    # windows are scored keeps these counts.
+    assert outcome["assess_counts"] == {
+        "stats.spearman": 102,
+        "stats.permutation_p": 3,
+        "stats.t_approximation_p": 65,
+        "analysis.significant_scores": 11,
+        "analysis.excluded_too_few": 8,
+        "analysis.excluded_not_significant": 91,
+    }
+    # one call per (qualified window, belief)
+    assert outcome["belief_population_calls"] == 110

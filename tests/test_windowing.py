@@ -1,9 +1,17 @@
 """Tests for release window construction and post-release defect counts."""
 
 import logging
+import random
+from operator import attrgetter
 
 from beliefminer.config import Config
-from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
+from beliefminer.ingest import (
+    ChangeRecord,
+    Release,
+    extract_releases,
+    is_source_file,
+    mine_repository,
+)
 from beliefminer.windowing import build_windows, count_post_defects, qualify_window
 
 from fixture_repo import DAY, T0
@@ -40,6 +48,31 @@ def test_fixture_defect_counts(fixture_repo):
         "docs/guide.js": 0,
         "web/ui.ts": 1,
     }
+
+
+def test_windows_keep_the_three_field_order_of_the_records():
+    # equal times across commits and within one commit, a repeated
+    # (commit, path) pair held by two distinct records, and non-source
+    # paths, in scrambled order
+    records = [
+        _rec(commit, time, path, ins=ins)
+        for time in (1000, 1500, 1500, 2000, 2600, 3000)
+        for commit in (f"c{time % 7}", f"b{time % 5}", "a")
+        for path in ("z.py", "a.py", "m/x.py", "tests/t.py", "doc.md")
+        for ins in (1, 2)
+    ]
+    records.append(_rec("a", 1500, "a.py", ins=1))
+    random.Random(4).shuffle(records)
+    releases = [Release("r1", 999, 1), Release("r2", 2000, 2), Release("r3", 3000, 3)]
+    windows = build_windows(releases, records, Config(post_days=1))
+    got = [record for window in windows for record in window.pre_records]
+    expected = sorted(
+        (r for r in records if is_source_file(r.file_path)),
+        key=attrgetter("commit_time", "commit_id", "file_path"),
+    )
+    assert len(got) == len(expected)
+    assert all(a is b for a, b in zip(got, expected))
+    assert [len(w.pre_records) for w in windows] == [73, 36]
 
 
 def test_pre_interval_is_open_closed():
