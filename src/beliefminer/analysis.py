@@ -11,11 +11,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,7 +29,7 @@ from .stats import (
     shared_y_ranks,
     spearman,
 )
-from .windowing import ReleaseWindow, build_windows, count_post_defects, qualify_window
+from .windowing import ReleaseWindow, build_windows, count_post_defects, fix_times, qualify_window
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +44,6 @@ LABEL_VERY_STRONG = "very_strong"
 EXCLUDE_TOO_FEW = "too_few_observations"
 EXCLUDE_NOT_SIGNIFICANT = "not_significant"
 _EXCLUSION_REASONS = (EXCLUDE_TOO_FEW, EXCLUDE_NOT_SIGNIFICANT)
-
-_FIX_TIME = attrgetter("commit_time")
 
 
 @dataclass
@@ -200,12 +196,7 @@ def assess_project(
     window's vectors are alive at a time.
     """
     windows = build_windows(releases, records, cfg)
-    # Each window's defect count reads only its own files' bug fixes inside
-    # its post horizon (pre_end, post_end], found by bisection on each
-    # file's fixes in time order.
-    fix_index: dict[str, list[ChangeRecord]] = defaultdict(list)
-    for record in sorted((r for r in records if r.is_bug_fix), key=_FIX_TIME):
-        fix_index[record.file_path].append(record)
+    fixes = fix_times(records)
     window_rows: list[WindowRow] = []
     populations = {
         belief: BeliefPopulation(belief, project_id, [], dict.fromkeys(_EXCLUSION_REASONS, 0))
@@ -224,7 +215,7 @@ def assess_project(
             )
         )
         if qualified:
-            _score_window(window, fix_index, populations, cfg)
+            _score_window(window, fixes, populations, cfg)
     return ProjectAssessment(
         project_id=project_id,
         populations=populations,
@@ -234,21 +225,14 @@ def assess_project(
 
 def _score_window(
     window: ReleaseWindow,
-    fix_index: dict[str, list[ChangeRecord]],
+    fixes: dict[str, list[int]],
     populations: dict[str, BeliefPopulation],
     cfg: Config,
 ) -> None:
     """Count one qualified window's defects, compute its ten vectors and add
     their scores and exclusions to the project's populations. The vectors
     and the y ranks they share live only inside this call."""
-    horizon: list[ChangeRecord] = []
-    for path in window.files:
-        fixes = fix_index.get(path)
-        if fixes:
-            lo = bisect_right(fixes, window.pre_end, key=_FIX_TIME)
-            hi = bisect_right(fixes, window.post_end, key=_FIX_TIME)
-            horizon += fixes[lo:hi]
-    defects = count_post_defects(window, horizon)
+    defects = count_post_defects(window, fixes)
     with shared_y_ranks():
         for vector in compute_all(window, defects, cfg):
             population = populations[vector.belief_id]

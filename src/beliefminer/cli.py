@@ -313,6 +313,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     records, releases = generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A mined summary.json would describe another history than these caches.
+    (out_dir / "summary.json").unlink(missing_ok=True)
     write_history(records, out_dir / "history.jsonl")
     write_releases(releases, out_dir / "releases.jsonl")
     print(

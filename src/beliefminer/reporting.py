@@ -386,7 +386,8 @@ def _ranking_rows(groups: list[RankedGroup]) -> list[tuple[int, str, float, floa
 
 def write_report(report: Report, out_dir: str | Path, assess_dir: str | Path) -> None:
     """Write report.md and the machine-readable CSV companions, and copy the
-    assessment's populations.csv, which build_report read, byte for byte."""
+    assessment's populations.csv, which build_report read, byte for byte,
+    unless out_dir is the assessment directory."""
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     with open(out_path / "report.md", "w", encoding="utf-8", newline="\n") as fh:
@@ -409,4 +410,6 @@ def write_report(report: Report, out_dir: str | Path, assess_dir: str | Path) ->
     }
     for name, (columns, rows) in tables.items():
         write_csv(out_path / name, columns, rows)
-    shutil.copyfile(Path(assess_dir) / "populations.csv", out_path / "populations.csv")
+    source, target = Path(assess_dir) / "populations.csv", out_path / "populations.csv"
+    if not (target.exists() and target.samefile(source)):
+        shutil.copyfile(source, target)

@@ -118,24 +118,28 @@ def build_windows(
     return windows
 
 
-def count_post_defects(
-    window: ReleaseWindow, records: list[ChangeRecord]
-) -> DefectCounts:
-    """Count bug-fix touches per pre-period file inside the post horizon.
+def fix_times(records: list[ChangeRecord]) -> dict[str, list[int]]:
+    """Each path's bug-fix commit times, in ascending order."""
+    times: dict[str, list[int]] = {}
+    for record in records:
+        if record.is_bug_fix:
+            times.setdefault(record.file_path, []).append(record.commit_time)
+    for path_times in times.values():
+        path_times.sort()
+    return times
+
+
+def count_post_defects(window: ReleaseWindow, fixes: dict[str, list[int]]) -> DefectCounts:
+    """Count bug-fix touches per pre-period file inside the post horizon
+    (pre_end, post_end], by bisection on each file's `fix_times`.
 
     Files absent from the pre period are ignored even if fixed later; files
     never fixed get an explicit zero.
     """
-    counts = dict.fromkeys(window.files, 0)
-    if not counts:
-        return DefectCounts(per_file=counts)
-    for record in records:
-        if (
-            record.is_bug_fix
-            and window.pre_end < record.commit_time <= window.post_end
-            and record.file_path in counts
-        ):
-            counts[record.file_path] += 1
+    counts = {}
+    for path in window.files:
+        times = fixes.get(path, ())
+        counts[path] = bisect_right(times, window.post_end) - bisect_right(times, window.pre_end)
     return DefectCounts(per_file=counts)
 
 

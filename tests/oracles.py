@@ -12,7 +12,9 @@ is the former one-json.loads-per-line cache reader, the reference for the
 pattern-matching one, and write_history_json the former dict-per-record
 encoder, the byte-exact reference for the template writer; the metric_*
 functions are the former one-walk-per-belief metrics, the reference for
-metrics.compute_all's single grouped pass; assess_project_batched is the
+metrics.compute_all's single grouped pass; post_defects_scan is the
+former record-by-record defect count, the reference for count_post_defects'
+bisection over fix_times; assess_project_batched is the
 former assess_project, which held every window's vectors and built the
 populations last, the reference for the one-window-at-a-time scoring;
 bootstrap_reached_two_arrays is the former bootstrap, which drew both
@@ -53,7 +55,6 @@ from beliefminer.windowing import (
     DefectCounts,
     ReleaseWindow,
     build_windows,
-    count_post_defects,
     qualify_window,
 )
 
@@ -512,11 +513,25 @@ def metric_b10_minor_share(
     return _file_vector("B10", values, defects)
 
 
+def post_defects_scan(window: ReleaseWindow, records) -> DefectCounts:
+    """Bug-fix touches per pre-period file inside the post horizon
+    (pre_end, post_end], by checking every record against the window."""
+    counts = dict.fromkeys(window.files, 0)
+    for record in records:
+        if (
+            record.is_bug_fix
+            and window.pre_end < record.commit_time <= window.post_end
+            and record.file_path in counts
+        ):
+            counts[record.file_path] += 1
+    return DefectCounts(per_file=counts)
+
+
 def assess_project_batched(
     project_id: str, records, releases, cfg: Config = DEFAULTS
 ) -> ProjectAssessment:
     """Assessment of one project that computes every qualified window's ten
-    vectors first, each window's defects counted over all records, and then
+    vectors first, each window's defects counted by scanning all records, and then
     builds each belief's population over all its windows at once."""
     window_rows = []
     per_belief = {belief: [] for belief in BELIEF_IDS}
@@ -533,7 +548,7 @@ def assess_project_batched(
             )
         )
         if qualified:
-            defects = count_post_defects(window, records)
+            defects = post_defects_scan(window, records)
             for vector in compute_all(window, defects, cfg):
                 per_belief[vector.belief_id].append((window, vector))
     with shared_y_ranks():

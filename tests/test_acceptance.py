@@ -37,6 +37,7 @@ from beliefminer.windowing import (
     ReleaseWindow,
     build_windows,
     count_post_defects,
+    fix_times,
     qualify_window,
 )
 
@@ -163,7 +164,7 @@ def test_05_planted_effect_recovery():
     for window in build_windows(releases, records):
         if not qualify_window(window):
             continue
-        vector = metric_churn(window, count_post_defects(window, records), "added")
+        vector = metric_churn(window, count_post_defects(window, fix_times(records)), "added")
         rhos.append(spearman(vector.x, vector.y, exact_p=False).rho)
     planted_median = statistics.median(rhos) if rhos else 0.0
 
@@ -177,7 +178,7 @@ def test_05_planted_effect_recovery():
         if not qualify_window(window):
             continue
         null_windows += 1
-        defects = count_post_defects(window, records)
+        defects = count_post_defects(window, fix_times(records))
         for vector in compute_all(window, defects):
             if vector.n < 4:
                 continue
@@ -292,7 +293,7 @@ def test_09_metric_invariants_on_synthetic_windows():
         records, releases = generate(spec)
         for window in build_windows(releases, records):
             windows_seen += 1
-            defects = count_post_defects(window, records)
+            defects = count_post_defects(window, fix_times(records))
             by_id = {v.belief_id: v for v in compute_all(window, defects)}
             churn: dict[str, int] = {}
             for record in window.pre_records:

@@ -50,7 +50,7 @@ from beliefminer.stats import SupportScore
 from beliefminer.synthgen import ScenarioSpec, generate
 from beliefminer.windowing import ReleaseWindow
 
-from oracles import assess_project_batched
+from oracles import assess_project_batched, post_defects_scan
 
 
 def _scored_window(ordinal, x, y, belief="B3"):
@@ -188,44 +188,33 @@ def _tied_history(seed, dense=False):
 
 def _check_horizon_counting(monkeypatch, seed, dense):
     records, releases, cfg = _tied_history(seed, dense)
-    calls = []
-    outside_files = 0
-
-    def horizon_only(window, horizon):
-        nonlocal outside_files
-        files = {r.file_path for r in window.pre_records}
-        in_horizon = [
-            r for r in records if r.is_bug_fix and window.pre_end < r.commit_time <= window.post_end
-        ]
-        outside_files += sum(r.file_path not in files for r in in_horizon)
-        # only this window's files' fixes inside its horizon, each one once
-        assert sorted(horizon, key=id) == sorted(
-            (r for r in in_horizon if r.file_path in files), key=id
-        )
-        defects = windowing.count_post_defects(window, horizon)
-        assert defects == windowing.count_post_defects(window, records)
-        assert sum(defects.per_file.values()) == len(horizon)
-        calls.append(window)
-        return defects
-
-    monkeypatch.setattr(analysis, "count_post_defects", horizon_only)
-    sliced = assess_project("p", records, releases, cfg)
-    assert len(calls) == sum(row.qualified for row in sliced.window_rows) == len(releases) - 1
-    assert any(r.commit_time == w.pre_end and r.is_bug_fix for w in calls for r in records)
-    assert any(r.commit_time == w.post_end and r.is_bug_fix for w in calls for r in records)
-    assert outside_files > 0  # fixes the guard had to keep out
+    windows = windowing.build_windows(releases, records, cfg)
+    assert len(windows) == len(releases) - 1
+    fixes = windowing.fix_times(records)
+    for window in windows:
+        assert windowing.count_post_defects(window, fixes) == post_defects_scan(window, records)
+    fixed = [r for r in records if r.is_bug_fix]
+    assert any(r.commit_time == w.pre_end for w in windows for r in fixed)
+    assert any(r.commit_time == w.post_end for w in windows for r in fixed)
+    # fixes inside a horizon on files outside its window
+    assert any(
+        w.pre_end < r.commit_time <= w.post_end and r.file_path not in w.files
+        for w in windows
+        for r in fixed
+    )
     if dense:
         # each horizon reaches past every later fix but those on far edges
         last = releases[-1].release_time
-        assert all(w.post_end > last + 9 * SECONDS_PER_DAY for w in calls)
+        assert all(w.post_end > last + 9 * SECONDS_PER_DAY for w in windows)
 
-    # The same assessment as when every window is counted over all records.
+    # The same assessment as when every window's defects come from a scan of
+    # all records.
+    bisected = assess_project("p", records, releases, cfg)
+    assert all(row.qualified for row in bisected.window_rows)
     monkeypatch.setattr(
-        analysis,
-        "count_post_defects",
-        lambda window, _: windowing.count_post_defects(window, records),
+        analysis, "count_post_defects", lambda window, _: post_defects_scan(window, records)
     )
-    assert assess_project("p", records, releases, cfg) == sliced
+    assert assess_project("p", records, releases, cfg) == bisected
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -288,11 +277,12 @@ def _assert_matches_batched(records, releases, cfg=Config()):
 
 
 def _all_vectors(records, releases, cfg):
+    fixes = windowing.fix_times(records)
     return [
         vector
         for window in windowing.build_windows(releases, records, cfg)
         if windowing.qualify_window(window, cfg)
-        for vector in compute_all(window, windowing.count_post_defects(window, records), cfg)
+        for vector in compute_all(window, windowing.count_post_defects(window, fixes), cfg)
     ]
 
 

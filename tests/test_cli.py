@@ -599,6 +599,18 @@ def test_report_on_accepted_empty_assessment(tmp_path, data_dir, capsys):
     assert populations == (assessment / "populations.csv").read_bytes()
 
 
+def test_report_into_its_assessment_directory(tmp_path, data_dir, capsys):
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    populations = (assessment / "populations.csv").read_bytes()
+    assert main(["report", str(assessment), "--out", str(assessment)]) == 0
+    assert main(["report", str(assessment), "--out", str(tmp_path / "report")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (assessment / "populations.csv").read_bytes() == populations
+    expected = (tmp_path / "report" / "report.md").read_bytes()
+    assert (assessment / "report.md").read_bytes() == expected
+
+
 def test_report_missing_assessment_exits_one(tmp_path, capsys):
     out = tmp_path / "report"
     assert main(["report", str(tmp_path / "nonexistent"), "--out", str(out)]) == 1
@@ -946,6 +958,24 @@ def test_synth_writes_deterministic_caches(tmp_path, capsys):
     capsys.readouterr()
     for name in ("history.jsonl", "releases.jsonl"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_synth_over_mined_caches_drops_their_summary(tmp_path, data_dir, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("releases = 6\nfiles_per_release = 4, 6\n", encoding="utf-8")
+    over, clean = tmp_path / "over", tmp_path / "clean"
+    _copy_fixture_caches(data_dir, over)
+    assert main(["synth", str(scenario), "--out", str(over)]) == 0
+    assert main(["synth", str(scenario), "--out", str(clean)]) == 0
+    assert not (over / "summary.json").exists()
+    rows = []
+    for caches in (over, clean):
+        out = tmp_path / f"{caches.name}-assessment"
+        assert main(["assess", str(caches), "--out", str(out)]) == 0
+        header, row = (out / "summary.csv").read_text(encoding="utf-8").splitlines()
+        rows.append((header, row.removeprefix(f"{caches.name},")))
+    capsys.readouterr()
+    assert rows[0] == rows[1]
 
 
 def test_synth_bad_scenario(tmp_path, capsys):

@@ -15,7 +15,13 @@ from beliefminer.config import Config
 from beliefminer.ingest import ChangeRecord, Release, extract_releases, mine_repository
 from beliefminer.synthgen import ScenarioSpec, generate
 from beliefminer.metrics import BELIEF_IDS, BeliefVector, compute_all
-from beliefminer.windowing import DefectCounts, ReleaseWindow, build_windows, count_post_defects
+from beliefminer.windowing import (
+    DefectCounts,
+    ReleaseWindow,
+    build_windows,
+    count_post_defects,
+    fix_times,
+)
 
 from fixture_repo import DAY, T0
 from oracles import (
@@ -39,7 +45,7 @@ def v1_window(fixture_repo):
     windows = build_windows(extract_releases(fixture_repo), records)
     window = windows[-1]
     assert window.release.tag_name == "v1.0"
-    return window, count_post_defects(window, records)
+    return window, count_post_defects(window, fix_times(records))
 
 
 _FILES = [
@@ -481,7 +487,7 @@ def test_compute_all_equals_reference_on_synthetic_windows():
     windows = build_windows(releases, records)
     assert len(windows) == 39
     for window in windows:
-        defects = count_post_defects(window, records)
+        defects = count_post_defects(window, fix_times(records))
         _assert_same_vectors(
             compute_all(window, defects), _reference_vectors(window, defects, Config())
         )

@@ -17,7 +17,7 @@ from beliefminer.synthgen import (
     generate,
     parse_scenario_file,
 )
-from beliefminer.windowing import build_windows, count_post_defects
+from beliefminer.windowing import build_windows, count_post_defects, fix_times
 
 from oracles import metric_b2_developers, metric_churn, metric_counts
 
@@ -29,7 +29,7 @@ def _windows(records, releases, post_days):
 def _window_rhos(records, releases, spec, metric):
     rhos = []
     for window in _windows(records, releases, spec.post_days):
-        defects = count_post_defects(window, records)
+        defects = count_post_defects(window, fix_times(records))
         vector = metric(window, defects)
         rhos.append(spearman(vector.x, vector.y, exact_p=False).rho)
     return rhos
@@ -336,7 +336,7 @@ def test_planted_b2_bounds_author_counts():
     )
     records, releases = generate(spec)
     for window in _windows(records, releases, spec.post_days):
-        defects = count_post_defects(window, records)
+        defects = count_post_defects(window, fix_times(records))
         vector = metric_b2_developers(window, defects)
         assert all(1 <= x <= 10 for x in vector.x)
 
@@ -348,7 +348,7 @@ def test_planted_b8_bounds_commit_counts():
     )
     records, releases = generate(spec)
     for window in _windows(records, releases, spec.post_days):
-        defects = count_post_defects(window, records)
+        defects = count_post_defects(window, fix_times(records))
         vector = metric_counts(window, defects, fixes_only=False)
         assert all(1 <= x <= 15 for x in vector.x)
 

@@ -12,9 +12,10 @@ from beliefminer.ingest import (
     is_source_file,
     mine_repository,
 )
-from beliefminer.windowing import build_windows, count_post_defects, qualify_window
+from beliefminer.windowing import build_windows, count_post_defects, fix_times, qualify_window
 
 from fixture_repo import DAY, T0
+from oracles import post_defects_scan
 
 
 def _rec(commit, time, path, fix=False, ins=1, dels=0, author="a@b"):
@@ -39,7 +40,7 @@ def test_fixture_windows(fixture_repo):
 def test_fixture_defect_counts(fixture_repo):
     records = mine_repository(fixture_repo).records
     windows = build_windows(extract_releases(fixture_repo), records)
-    counts = count_post_defects(windows[-1], records)
+    counts = count_post_defects(windows[-1], fix_times(records))
     assert counts.per_file == {
         "core/app.py": 1,
         "core/io.py": 2,
@@ -99,7 +100,7 @@ def test_post_horizon_is_open_closed():
         _rec("c5", horizon_end + 1, "a.py", fix=True),  # past the horizon
     ]
     (window,) = build_windows(releases, records, Config(post_days=1))
-    counts = count_post_defects(window, records)
+    counts = count_post_defects(window, fix_times(records))
     assert counts.per_file == {"a.py": 2}
 
 
@@ -111,7 +112,7 @@ def test_defects_only_for_pre_period_files():
         _rec("c3", 160, "seen.py"),  # non-fix touch: not a defect
     ]
     (window,) = build_windows(releases, records, Config(post_days=1))
-    counts = count_post_defects(window, records)
+    counts = count_post_defects(window, fix_times(records))
     assert counts.per_file == {"seen.py": 0}
 
 
@@ -170,4 +171,64 @@ def test_qualify_window_threshold():
 def test_defect_counts_empty_window():
     releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
     (window,) = build_windows(releases, [], Config(post_days=1))
-    assert count_post_defects(window, []).per_file == {}
+    assert count_post_defects(window, fix_times([])).per_file == {}
+    # fixes in the horizon, but no source file changed before the release
+    records = [_rec("c1", 150, "a.py", fix=True), _rec("c2", 50, "README.md")]
+    (window,) = build_windows(releases, records, Config(post_days=1))
+    assert window.files == ()
+    assert _counts_both_ways(window, records) == {}
+
+
+def _counts_both_ways(window, records):
+    """count_post_defects over fix_times, checked against the record scan."""
+    counts = count_post_defects(window, fix_times(records))
+    assert counts == post_defects_scan(window, records)
+    return counts.per_file
+
+
+def test_fix_times_are_each_paths_fix_times_ascending():
+    records = [
+        _rec("c3", 30, "a.py", fix=True),
+        _rec("c1", 10, "a.py", fix=True),
+        _rec("c2", 20, "b.py"),
+        _rec("c4", 10, "b.py", fix=True),
+        _rec("c3", 30, "a.py", fix=True),
+    ]
+    assert fix_times(records) == {"a.py": [10, 30, 30], "b.py": [10]}
+    assert fix_times([_rec("c1", 1, "a.py")]) == {}
+
+
+def test_fixes_in_the_same_second_each_count():
+    releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
+    records = [
+        _rec("c1", 50, "a.py"),
+        _rec("c2", 100 + DAY, "a.py", fix=True),  # both at the horizon's end
+        _rec("c3", 100 + DAY, "a.py", fix=True),
+        _rec("c4", 101, "a.py", fix=True),  # both just past the release
+        _rec("c5", 101, "a.py", fix=True),
+        _rec("c6", 100, "a.py", fix=True),  # both at the release: pre, not post
+        _rec("c7", 100, "a.py", fix=True),
+    ]
+    (window,) = build_windows(releases, records, Config(post_days=1))
+    assert _counts_both_ways(window, records) == {"a.py": 4}
+
+
+def test_a_repeated_fix_record_counts_twice():
+    releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
+    fix = _rec("c2", 150, "a.py", fix=True)
+    records = [_rec("c1", 50, "a.py"), fix, fix]
+    (window,) = build_windows(releases, records, Config(post_days=1))
+    assert _counts_both_ways(window, records) == {"a.py": 2}
+
+
+def test_non_fix_records_at_the_horizon_edges_never_count():
+    releases = [Release("r1", 0, 1), Release("r2", 100, 2)]
+    records = [
+        _rec("c1", 50, "a.py"),
+        _rec("c2", 100, "a.py"),
+        _rec("c3", 101, "a.py"),
+        _rec("c4", 100 + DAY, "a.py"),
+        _rec("c5", 100 + DAY, "a.py", fix=True),
+    ]
+    (window,) = build_windows(releases, records, Config(post_days=1))
+    assert _counts_both_ways(window, records) == {"a.py": 1}
