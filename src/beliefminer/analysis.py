@@ -20,15 +20,7 @@ from typing import NamedTuple
 from .config import DEFAULTS, Config
 from .ingest import CacheError, ChangeRecord, Release, utf8_lines
 from .metrics import BELIEF_IDS, BeliefVector, compute_all
-from .stats import (
-    RankedGroup,
-    SupportScore,
-    Treatment,
-    quartiles,
-    scott_knott,
-    shared_y_ranks,
-    spearman,
-)
+from .stats import RankedGroup, SupportScore, Treatment, quartiles, scott_knott, spearman
 from .windowing import ReleaseWindow, build_windows, count_post_defects, fix_times, qualify_window
 
 logger = logging.getLogger(__name__)
@@ -231,17 +223,16 @@ def _score_window(
 ) -> None:
     """Count one qualified window's defects, compute its ten vectors and add
     their scores and exclusions to the project's populations. The vectors
-    and the y ranks they share live only inside this call."""
+    live only inside this call."""
     defects = count_post_defects(window, fixes)
-    with shared_y_ranks():
-        for vector in compute_all(window, defects, cfg):
-            population = populations[vector.belief_id]
-            scored = belief_population(
-                population.project_id, population.belief_id, [(window, vector)], cfg
-            )
-            population.scores += scored.scores
-            for reason, count in scored.exclusions.items():
-                population.exclusions[reason] += count
+    for vector in compute_all(window, defects, cfg):
+        population = populations[vector.belief_id]
+        scored = belief_population(
+            population.project_id, population.belief_id, [(window, vector)], cfg
+        )
+        population.scores += scored.scores
+        for reason, count in scored.exclusions.items():
+            population.exclusions[reason] += count
 
 
 def support_label(rho: float) -> str:

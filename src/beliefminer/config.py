@@ -95,6 +95,11 @@ class Config:
     def validate(self) -> None:
         if not self.extensions:
             raise ConfigError("extensions: must not be empty")
+        # A path's extension is the lowercased text after the last '.' of its
+        # last segment, so it holds no '.', '/' or backslash.
+        for ext in self.extensions:
+            if ext != ext.lower() or any(ch in ext for ch in "./\\"):
+                raise ConfigError(f"extensions: {ext!r} can never match a path's extension")
         if (error := post_days_error(self.post_days)) is not None:
             raise ConfigError(error)
         if self.period_days < 1:

@@ -43,7 +43,8 @@ _TOKEN = re.compile(r"[a-z0-9]+")
 
 @dataclass(frozen=True)
 class KeywordSet:
-    """Lowercase stems marking a commit message as bug-fixing."""
+    """Stems marking a commit message as bug-fixing; each is a whole token
+    (lowercase ASCII letters and digits), or no token could start with it."""
 
     stems: tuple[str, ...] = DEFAULT_STEMS
 
@@ -51,8 +52,8 @@ class KeywordSet:
         if not self.stems:
             raise ValueError("keyword set must contain at least one stem")
         for stem in self.stems:
-            if not stem or stem != stem.lower() or any(ch.isspace() for ch in stem):
-                raise ValueError(f"invalid keyword stem: {stem!r}")
+            if not _TOKEN.fullmatch(stem):
+                raise ValueError(f"invalid keyword stem {stem!r}: not only a-z and 0-9")
 
 
 _DEFAULT_KEYWORDS = KeywordSet()
@@ -70,8 +71,7 @@ def classify_message(
     """
     stems = tuple((_DEFAULT_KEYWORDS if keywords is None else keywords).stems)
     # One C-level prefix test per token against all stems at once; only the
-    # few tokens that pass are looked up, one prefix length at a time. A
-    # token's prefix is never a stem with a non-alphanumeric character.
+    # few tokens that pass are looked up, one prefix length at a time.
     hits = [token for token in set(_TOKEN.findall(message.lower())) if token.startswith(stems)]
     if not hits:
         return False, []

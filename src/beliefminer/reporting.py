@@ -32,6 +32,7 @@ from .analysis import (
     write_csv,
 )
 from .config import DEFAULTS, Config
+from .ingest import CacheError
 from .metrics import BELIEF_IDS
 from .stats import RankedGroup, quartiles
 
@@ -313,7 +314,8 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> Report:
     """Assemble a Report from an assessment directory's windows.csv,
     summary.csv and populations.csv; each is required, and a missing one
     raises OSError. Every populations.csv row names a qualified window of
-    windows.csv, so the projects are those of summary.csv and windows.csv."""
+    windows.csv and every windows.csv project has a summary.csv row, so the
+    projects are those of summary.csv."""
     assess_path = Path(assess_dir)
     if not assess_path.is_dir():
         raise FileNotFoundError(f"assessment directory not found: {assess_path}")
@@ -321,7 +323,11 @@ def build_report(assess_dir: str | Path, cfg: Config = DEFAULTS) -> Report:
     summaries = read_summary_csv(assess_path / "summary.csv")
     populations = read_populations_csv(assess_path / "populations.csv", window_rows)
 
-    project_ids = sorted({s.project_id for s in summaries} | {w.project_id for w in window_rows})
+    project_ids = sorted(s.project_id for s in summaries)
+    missing = {w.project_id for w in window_rows}.difference(project_ids)
+    if missing:
+        reason = f"no row for windows.csv project {min(missing)!r}"
+        raise CacheError(assess_path / "summary.csv", 1, reason)
     by_project: dict[str, list[BeliefPopulation]] = defaultdict(list)
     for population in populations:
         by_project[population.project_id].append(population)

@@ -12,7 +12,6 @@ cli.cmd_report imports them before it reads its config.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -21,7 +20,6 @@ import struct
 import sys
 import types
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
 from dataclasses import dataclass
 from math import fsum
 
@@ -147,33 +145,16 @@ def _centred(ranks: np.ndarray) -> tuple[np.ndarray, float]:
     return centred, fsum((centred * centred).tolist())
 
 
-# Centred ranks of the y vectors seen inside shared_y_ranks(), keyed by their
-# values, so a memo met by any other caller can only save work, never change
-# a result. In assess, every file-level belief of a window is correlated
-# against the same defect vector, so each distinct one is ranked once.
-_y_ranks: dict[tuple, tuple[np.ndarray, float]] | None = None
-
-
-@contextlib.contextmanager
-def shared_y_ranks() -> Iterator[None]:
-    """Within the block, spearman ranks each distinct y vector once; the
-    ranks are dropped when the block exits."""
-    global _y_ranks
-    _y_ranks = {}
-    try:
-        yield
-    finally:
-        _y_ranks = None
-
-
-def _y_side(y) -> tuple[np.ndarray, float]:
-    """y's centred average ranks and their sum of squares."""
-    memo = {} if _y_ranks is None else _y_ranks
-    key = tuple(y)
-    side = memo.get(key)
-    if side is None:
-        side = memo[key] = _centred(_average_ranks(y))
-    return side
+# Keyed by y's values, so a hit can only save work, never change a result.
+# Eight of a window's ten beliefs share its file-level defect vector, and a
+# window correlates at most three distinct ones (its files', B5's commits'
+# and B6's fixed files'), so each is ranked once per window.
+@functools.lru_cache(maxsize=4)
+def _y_side(y: tuple) -> tuple[np.ndarray, float]:
+    """y's read-only centred average ranks and their sum of squares."""
+    centred, sum_yy = _centred(_average_ranks(y))
+    centred.setflags(write=False)
+    return centred, sum_yy
 
 
 @functools.lru_cache(maxsize=EXACT_P_MAX_N)
@@ -236,7 +217,7 @@ def spearman(
     if min(x) == max(x) or min(y) == max(y):
         return SupportScore(0.0, 1.0, n, release_ordinal)
     centred_x, sum_xx = _centred(_average_ranks(x))
-    centred_y, sum_yy = _y_side(y)
+    centred_y, sum_yy = _y_side(tuple(y))
     den = math.sqrt(sum_xx * sum_yy)
     rho = max(-1.0, min(1.0, fsum((centred_x * centred_y).tolist()) / den))
     if exact_p and n <= EXACT_P_MAX_N:

@@ -50,7 +50,7 @@ from beliefminer.config import DEFAULTS, SECONDS_PER_DAY, Config
 from beliefminer.ingest import CacheError, ChangeRecord
 from beliefminer.labeling import KeywordSet
 from beliefminer.metrics import BELIEF_IDS, BeliefVector, compute_all
-from beliefminer.stats import Treatment, _average_ranks, shared_y_ranks, split_is_distinct
+from beliefminer.stats import Treatment, _average_ranks, split_is_distinct
 from beliefminer.windowing import (
     DefectCounts,
     ReleaseWindow,
@@ -551,9 +551,8 @@ def assess_project_batched(
             defects = post_defects_scan(window, records)
             for vector in compute_all(window, defects, cfg):
                 per_belief[vector.belief_id].append((window, vector))
-    with shared_y_ranks():
-        populations: dict[str, BeliefPopulation] = {
-            belief: belief_population(project_id, belief, per_belief[belief], cfg)
-            for belief in BELIEF_IDS
-        }
+    populations: dict[str, BeliefPopulation] = {
+        belief: belief_population(project_id, belief, per_belief[belief], cfg)
+        for belief in BELIEF_IDS
+    }
     return ProjectAssessment(project_id, populations, window_rows)

@@ -4,6 +4,7 @@ import logging
 import math
 import random
 import weakref
+from collections import defaultdict
 
 import pytest
 
@@ -229,32 +230,30 @@ def test_assess_project_counts_defects_with_dense_releases(monkeypatch, seed):
 
 def test_assess_project_shares_defect_ranks_within_the_project_only(monkeypatch):
     records, releases, cfg = _tied_history(0)
-    memo_sizes = []
+    calls = 0
+    ranked_ys = defaultdict(set)  # release ordinal -> distinct y that spearman ranks
     real = analysis.belief_population
 
-    def spy(*args, **kwargs):
-        population = real(*args, **kwargs)
-        memo_sizes.append(len(stats._y_ranks))
-        return population
+    def spy(project_id, belief_id, scored_windows, cfg):
+        nonlocal calls
+        calls += 1
+        for window, vector in scored_windows:
+            if vector.n >= cfg.min_observations and min(vector.y) != max(vector.y):
+                ranked_ys[window.release.ordinal].add(tuple(vector.y))
+        return real(project_id, belief_id, scored_windows, cfg)
 
     monkeypatch.setattr(analysis, "belief_population", spy)
+    stats._y_side.cache_clear()
     assessment = assess_project("p", records, releases, cfg)
-    assert stats._y_ranks is None
-    # one call per (qualified window, belief), while the memo holds only the
-    # window's own ranks: at most one entry for the file-level beliefs, one
-    # for B5's and one for B6's vectors
+    # one call per (qualified window, belief); each window's distinct defect
+    # vectors (its files', B5's and B6's) are ranked at most once, and the
+    # cache keeps no more than four of them
     windows = sum(row.qualified for row in assessment.window_rows)
-    assert len(memo_sizes) == 10 * windows
-    assert 0 < max(memo_sizes) <= 3
-
-    def failing(*args, **kwargs):
-        real(*args, **kwargs)
-        raise RuntimeError("stop")
-
-    monkeypatch.setattr(analysis, "belief_population", failing)
-    with pytest.raises(RuntimeError):
-        assess_project("p", records, releases, cfg)
-    assert stats._y_ranks is None
+    assert calls == 10 * windows
+    info = stats._y_side.cache_info()
+    assert 0 < info.misses <= sum(len(ys) for ys in ranked_ys.values())
+    assert info.hits > 0
+    assert info.currsize <= 4
 
 
 # --- assess_project against the batched reference ---------------------------------

@@ -209,6 +209,21 @@ def test_mine_missing_keyword_file(tmp_path, fixture_repo, capsys):
     assert "keyword_file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stem", ["bug-fix", "café"])
+def test_mine_rejects_a_keyword_stem_no_token_can_start_with(tmp_path, fixture_repo, capsys, stem):
+    keywords = tmp_path / "kw.txt"
+    keywords.write_text(f"fix\n{stem}\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"keyword_file = {keywords}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["mine", str(fixture_repo), "--config", str(config), "--out", str(out), "--force"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: keyword_file: ")
+    assert repr(stem) in err
+    assert not out.exists()
+
+
 # --- usage ---------------------------------------------------------------------
 
 
@@ -816,6 +831,12 @@ _MALFORMED_ASSESSMENTS = {
         3,
         "duplicate key ('fixture',), first on line 2\n",
     ),
+    "windows-project-without-summary": (
+        "summary.csv",
+        lambda text: (text.split("\n")[0] + "\nother,1,0.0,1,1,0.0\n").encode(),
+        1,
+        "no row for windows.csv project 'fixture'\n",
+    ),
 }
 
 
@@ -845,6 +866,17 @@ def test_report_accepts_summary_at_bounds(tmp_path, data_dir, capsys, row):
     summary.write_text(_replace_line(summary.read_text(encoding="utf-8"), 2, row), encoding="utf-8")
     assert main(["report", str(assessment), "--out", str(tmp_path / "report")]) == 0
     capsys.readouterr()
+
+
+def test_report_counts_a_summary_project_without_windows(tmp_path, data_dir, capsys):
+    assessment = tmp_path / "assessment"
+    shutil.copytree(data_dir / "fixture_assess", assessment)
+    with open(assessment / "summary.csv", "a", encoding="utf-8") as fh:
+        fh.write("other,1,0.0,1,1,0.0\n")
+    out = tmp_path / "report"
+    assert main(["report", str(assessment), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "Projects analyzed: 2 (fixture, other)" in (out / "report.md").read_text(encoding="utf-8")
 
 
 def test_assess_and_report_check_the_summary_by_one_rule(tmp_path, data_dir, capsys):
@@ -1179,6 +1211,19 @@ def test_stdtr_loader_falls_back_to_scipy_special(error):
 
 
 # --- installed script ------------------------------------------------------------
+
+
+def test_declared_console_script_resolves_to_main(capsys):
+    import importlib.metadata
+    import tomllib
+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    entry = importlib.metadata.EntryPoint("beliefminer", scripts["beliefminer"], "console_scripts")
+    assert entry.load() is main
+    assert entry.load()(["--help"]) == 0
+    assert "{mine,assess,report,synth}" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(_SCRIPT is None, reason="console script not on PATH")

@@ -122,6 +122,9 @@ def test_load_config_bad_values(tmp_path):
         ("alpha = high", "alpha"),
         ("replication_mode = maybe", "replication_mode"),
         ("extensions = ,", "extensions"),
+        ("extensions = py, tar.gz", "extensions: 'tar.gz' "),
+        ("extensions = .py/x", "extensions: 'py/x' "),
+        ("extensions = c\\h", "extensions: 'c\\\\h' "),
         ("just a line", "key = value"),
         ("alpha = 0.05\nseed = 3\nalpha = 0.01", ":3: duplicate key 'alpha'"),
     ]:
@@ -138,6 +141,13 @@ def test_load_config_validates_result(tmp_path):
     with pytest.raises(ConfigError) as excinfo:
         load_config(path)
     assert "alpha" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("entry", ["PY", "Go", "tar.gz", ".py", "src/py", "c\\h"])
+def test_config_rejects_an_extension_no_lowercased_path_can_have(entry):
+    with pytest.raises(ConfigError) as excinfo:
+        Config(extensions=("py", entry))
+    assert str(excinfo.value).startswith(f"extensions: {entry!r} ")
 
 
 def test_load_config_missing_file(tmp_path):

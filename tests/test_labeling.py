@@ -83,7 +83,7 @@ def test_custom_keyword_set():
 
 @pytest.mark.parametrize(
     "stems",
-    [(), ("",), ("Fix",), ("two words",), ("ok", "bad stem")],
+    [(), ("",), ("Fix",), ("two words",), ("ok", "bad stem"), ("a-b",), ("fix", "é")],
 )
 def test_keyword_set_rejects_bad_stems(stems):
     with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ _ORACLE_MESSAGES = [
         None,
         KeywordSet(("fix", "fixe")),
         KeywordSet(("bug", "fix", "bug", "fix", "fixe", "fix")),
-        KeywordSet(("a-b", "é", "fix", "ab")),
+        KeywordSet(("fix", "ab")),
         KeywordSet(DEFAULT_STEMS + ("f", "e4", "4")),
     ],
     ids=["default", "overlapping", "duplicated", "non-alphanumeric", "short"],

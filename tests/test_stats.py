@@ -16,6 +16,7 @@ from beliefminer.stats import (
     EXACT_P_MAX_N,
     _permutation_p,
     _t_approximation_p,
+    _y_side,
     GroupEntry,
     RankedGroup,
     SupportScore,
@@ -25,7 +26,6 @@ from beliefminer.stats import (
     derive_split_seed,
     quartiles,
     scott_knott,
-    shared_y_ranks,
     spearman,
     split_is_distinct,
 )
@@ -149,37 +149,46 @@ def test_shared_y_ranks_interleaved_calls_match_plain_calls():
     for i in range(24):
         y = ys[i % 3]
         if i % 4 == 0:
-            y = list(y)  # equal values in another list: the same memo entry
+            y = list(y)  # equal values in another list: the same cache entry
         x = [float(v) for v in rng.integers(0, 9, len(y))]
         calls.append((x, y))
-    plain = [spearman(x, y) for x, y in calls]
-    assert stats._y_ranks is None
-    with shared_y_ranks():
-        shared = [spearman(x, y) for x, y in calls]
-        assert len(stats._y_ranks) == len(ys)
-    assert stats._y_ranks is None
-    assert shared == plain
-    for (x, y), score in zip(calls, shared):
+    cold = []
+    for x, y in calls:
+        _y_side.cache_clear()
+        cold.append(spearman(x, y))
+    _y_side.cache_clear()
+    warm = [spearman(x, y) for x, y in calls]
+    assert _y_side.cache_info().misses == len(ys)
+    assert warm == cold
+    for (x, y), score in zip(calls, warm):
         assert score.rho == pytest.approx(spearman_brute(x, y), abs=1e-12)
 
 
 def test_shared_y_ranks_follow_values_not_objects():
     x = [1.0, 5.0, 2.0, 4.0, 3.0, 6.0, 0.0, 9.0, 8.0, 7.0]
     y = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-    with shared_y_ranks():
-        first = spearman(x, y, exact_p=False)
-        y.reverse()  # same list, new values
-        second = spearman(x, y, exact_p=False)
+    first = spearman(x, y, exact_p=False)
+    y.reverse()  # same list, new values
+    second = spearman(x, y, exact_p=False)
     assert second.rho == -first.rho
     assert second.rho == pytest.approx(spearman_brute(x, y), abs=1e-12)
 
 
-def test_shared_y_ranks_dropped_on_error():
-    with pytest.raises(RuntimeError):
-        with shared_y_ranks():
-            spearman([1.0, 2.0, 3.0], [3, 1, 2])
-            raise RuntimeError("stop")
-    assert stats._y_ranks is None
+def test_shared_y_ranks_are_bounded():
+    rng = np.random.default_rng(108)
+    _y_side.cache_clear()
+    for n in range(3, 40):
+        spearman([float(v) for v in range(n)], [int(v) for v in rng.integers(0, 5, n)])
+    info = _y_side.cache_info()
+    assert info.misses > info.maxsize == 4
+    assert info.currsize <= 4
+
+
+def test_shared_y_ranks_are_read_only():
+    centred, sum_yy = _y_side((3, 0, 1, 1))
+    assert centred.tolist() == [1.5, -1.5, 0.0, 0.0] and sum_yy == 4.5
+    with pytest.raises(ValueError):
+        centred[0] = 0.0
 
 
 def test_exact_p_matches_enumeration_oracle():
