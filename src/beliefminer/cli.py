@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    EXCLUDE_NOT_SIGNIFICANT,
     SummaryRow,
     assess_project,
     summary_row,
@@ -277,6 +278,13 @@ def cmd_assess(args: argparse.Namespace) -> int:
     if not any(row.qualified for row in all_window_rows):
         print(
             f"error: no project has a qualified window (min_files = {cfg.min_files})",
+            file=sys.stderr,
+        )
+        return 1
+    if not any(p.scores or p.exclusions[EXCLUDE_NOT_SIGNIFICANT] for p in all_populations):
+        print(
+            "error: no qualified window has enough observations to correlate "
+            f"(min_observations = {cfg.min_observations})",
             file=sys.stderr,
         )
         return 1

@@ -116,10 +116,9 @@ class Config:
             raise ConfigError("support_threshold: must be positive and finite")
         if not 0 < self.trend_threshold < math.inf:
             raise ConfigError("trend_threshold: must be positive and finite")
-        # Scott-Knott's bootstrap resamples one side of a split at a time: an
-        # int32 index and a float64 value per cell, at most 12 bytes x
-        # iterations x the larger side (under 84 MB at 10,000 iterations
-        # for 698 pooled scores)
+        # Scott-Knott's bootstrap resamples in blocks of a fixed number of
+        # cells, so its memory does not grow with the iterations; the bound
+        # limits time only
         if not 100 <= self.bootstrap_iterations <= 10_000:
             raise ConfigError("bootstrap_iterations: must lie in [100, 10000]")
         if not 0 < self.a12_threshold <= 1:

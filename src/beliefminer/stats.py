@@ -3,7 +3,9 @@
 Spearman rank correlation with exact or t-approximated p-values,
 Vargha-Delaney A12 effect size, a bootstrap difference-of-means test, and
 Scott-Knott ranking built on the latter two. Everything is deterministic
-given an explicit seed.
+given an explicit seed. The bootstrap's resamples are computed in blocks
+of a fixed size, so its memory does not grow with iterations x pooled
+values.
 
 Only report ranks and bootstraps, so the modules behind them (numpy.random,
 hashlib, statistics) are imported where they are used, not at start-up;
@@ -69,6 +71,9 @@ EXACT_P_MAX_N = 8
 BOOTSTRAP_ALPHA = 0.05
 
 _PERM_EPS = 1e-12  # guard band so float noise cannot drop tied permutations
+# Cells (one int32 index and one gathered float64 each) per bootstrap block:
+# about 384 KB of resample matrices, whatever the iterations and pool size.
+BOOTSTRAP_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,28 @@ def a12(m: list[float], n: list[float]) -> float:
     return (greater + 0.5 * equal) / (len(m) * len(n))
 
 
+def _resampled_means(
+    rng: np.random.Generator, pooled: np.ndarray, iterations: int, size: int
+) -> np.ndarray:
+    """Means of `iterations` resamples of `size` pooled values.
+
+    The resamples are drawn, gathered and averaged in blocks of whole rows,
+    at most BOOTSTRAP_BLOCK_CELLS cells each (one row when size is larger).
+    The bounded int32 draws read the generator's 32-bit stream on from one
+    call to the next, and each row's mean is reduced on its own, so the
+    blocks give the draws and the means of one iterations x size matrix,
+    bit for bit, without holding it."""
+    means = np.empty(iterations)
+    rows = max(1, BOOTSTRAP_BLOCK_CELLS // size)
+    for start in range(0, iterations, rows):
+        stop = min(start + rows, iterations)
+        # numpy draws a bounded integer below 2**32 from 32 bits whatever
+        # the dtype, so int32 indices are the same draws as int64 ones
+        idx = rng.integers(0, pooled.size, size=(stop - start, size), dtype=np.int32)
+        pooled[idx].mean(axis=1, out=means[start:stop])
+    return means
+
+
 def _bootstrap_reached(m: list[float], n: list[float], iterations: int, seed: int) -> int:
     """How many of `iterations` pooled resamples reach the observed absolute
     difference of the two samples' means."""
@@ -252,17 +279,15 @@ def _bootstrap_reached(m: list[float], n: list[float], iterations: int, seed: in
     observed = abs(float(m_arr.mean()) - float(n_arr.mean()))
     pooled = np.concatenate([m_arr, n_arr])
     rng = np.random.default_rng(seed)
-
-    def resampled_means(size: int) -> np.ndarray:
-        # numpy draws a bounded integer below 2**32 from 32 bits whatever
-        # the dtype, so int32 indices are the same draws as int64 ones
-        idx = rng.integers(0, pooled.size, size=(iterations, size), dtype=np.int32)
-        return pooled[idx].mean(axis=1)
-
-    # m's side is drawn first, then n's; only one side's indices and
-    # gathered values are alive at a time
-    diffs = np.abs(resampled_means(m_arr.size) - resampled_means(n_arr.size))
+    # m's side is drawn first, then n's
+    m_means = _resampled_means(rng, pooled, iterations, m_arr.size)
+    diffs = np.abs(m_means - _resampled_means(rng, pooled, iterations, n_arr.size))
     return int(np.count_nonzero(diffs >= observed))
+
+
+def _check_iterations(iterations: int) -> None:
+    if iterations < 100:
+        raise ValueError("iterations must be >= 100")
 
 
 def bootstrap_different(
@@ -277,8 +302,7 @@ def bootstrap_different(
     distribution); returns True when fewer than 5% of replicates reach the
     observed absolute mean difference.
     """
-    if iterations < 100:
-        raise ValueError("iterations must be >= 100")
+    _check_iterations(iterations)
     if not m or not n:
         raise ValueError("bootstrap requires two nonempty samples")
     return _bootstrap_reached(m, n, iterations, seed) / iterations < BOOTSTRAP_ALPHA
@@ -307,11 +331,16 @@ def split_is_distinct(
 ) -> bool:
     """Scott-Knott keep-rule: the split stands only if the bootstrap calls
     the sides different AND the upper side wins with at least a small A12
-    effect."""
-    sub_seed = derive_split_seed(seed, lower, upper)
-    if not bootstrap_different(lower, upper, iterations, sub_seed):
+    effect.
+
+    Both tests are pure and the split's seed comes from its own values, so
+    the cheap A12 runs first and the bootstrap only on splits it passes;
+    the iterations bound is checked before either."""
+    _check_iterations(iterations)
+    if a12(upper, lower) < a12_threshold:
         return False
-    return a12(upper, lower) >= a12_threshold
+    sub_seed = derive_split_seed(seed, lower, upper)
+    return bootstrap_different(lower, upper, iterations, sub_seed)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

@@ -19,7 +19,10 @@ former assess_project, which held every window's vectors and built the
 populations last, the reference for the one-window-at-a-time scoring;
 bootstrap_reached_two_arrays is the former bootstrap, which drew both
 sides' int64 indices before gathering either, the exact reference for the
-one-side-at-a-time int32 draws;
+one-side-at-a-time int32 draws; bootstrap_one_shot_means and
+bootstrap_reached_one_shot are the former one-side-at-a-time bootstrap,
+which drew each side's whole iterations x size matrix in one call, the
+bit-exact reference for the blocked draws;
 rank_with_ties_loop and pearson_fsum are the former sweep ranks and fsum
 Pearson, the bit-exact reference for spearman's numpy ranks and centred
 sums; rank_with_ties is the list API over those numpy ranks, which the
@@ -215,6 +218,23 @@ def bootstrap_reached_two_arrays(m, n, iterations: int, seed: int) -> int:
     idx_n = rng.integers(0, pooled.size, size=(iterations, n_arr.size))
     diffs = np.abs(pooled[idx_m].mean(axis=1) - pooled[idx_n].mean(axis=1))
     return int(np.count_nonzero(diffs >= observed))
+
+
+def bootstrap_one_shot_means(m, n, iterations: int, seed: int):
+    """Each side's resampled means, m's then n's, from one iterations x size
+    int32 index matrix per side."""
+    pooled = np.concatenate([np.asarray(m, dtype=float), np.asarray(n, dtype=float)])
+    rng = np.random.default_rng(seed)
+    return tuple(
+        pooled[rng.integers(0, pooled.size, size=(iterations, size), dtype=np.int32)].mean(axis=1)
+        for size in (len(m), len(n))
+    )
+
+
+def bootstrap_reached_one_shot(m, n, iterations: int, seed: int) -> int:
+    observed = abs(float(np.mean(m)) - float(np.mean(n)))
+    m_means, n_means = bootstrap_one_shot_means(m, n, iterations, seed)
+    return int(np.count_nonzero(np.abs(m_means - n_means) >= observed))
 
 
 def scott_knott_brute(

@@ -359,6 +359,27 @@ def test_assess_reports_no_qualified_windows(tmp_path, capsys):
     assert not empty.exists()
 
 
+def test_assess_rejects_windows_that_never_reach_a_correlation(tmp_path, data_dir, capsys):
+    caches = tmp_path / "fixture"
+    _copy_fixture_caches(data_dir, caches)
+    config = tmp_path / "run.cfg"
+    config.write_text("min_observations = 100000\n", encoding="utf-8")
+    out = tmp_path / "assessment"
+    assert main(["assess", str(caches), "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "fixture: 4 windows, 1 qualified, 0 significant scores" in captured.out
+    assert captured.err == (
+        "error: no qualified window has enough observations to correlate "
+        "(min_observations = 100000)\n"
+    )
+    assert not out.exists()
+    # tested but nothing significant is still a result
+    config.write_text("min_observations = 4\nalpha = 0.0001\n", encoding="utf-8")
+    assert main(["assess", str(caches), "--config", str(config), "--out", str(out)]) == 0
+    assert "0 significant scores" in capsys.readouterr().out
+    assert (out / "populations.csv").read_text(encoding="utf-8").count("\n") == 1
+
+
 def test_assess_missing_inputs(tmp_path, capsys):
     assert main(["assess", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 1
     empty = tmp_path / "empty"

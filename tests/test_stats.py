@@ -7,6 +7,7 @@ exhaustive Scott-Knott that shares only the keep-rule.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from beliefminer.stats import (
 
 from oracles import (
     a12_brute,
+    bootstrap_one_shot_means,
+    bootstrap_reached_one_shot,
     bootstrap_reached_two_arrays,
     exact_permutation_p,
     exact_permutation_p_loop,
@@ -417,6 +420,55 @@ def test_bootstrap_matches_two_array_oracle(sizes, iterations):
         assert bootstrap_different(m, n, iterations, seed) is (reached / iterations < 0.05)
 
 
+# (size of m, size of n, iterations): pools of 2 to 33,002 values; with
+# blocks of 2**15 cells, sides within one block (64 x 512 fills it
+# exactly), sides of many blocks, a last block shorter than the rest
+# (65 x 512, 1200 x 777) and a side wider than a block (one row per block)
+_BLOCK_CASES = [
+    (1, 1, 100), (1, 1, 512), (1, 1, 10_000), (3, 3, 10_000), (1, 2, 10_000),
+    (40, 24, 512), (64, 64, 512), (65, 70, 512), (650, 48, 512), (48, 650, 512),
+    (100, 155, 10_000), (700, 700, 100), (1200, 5, 777),
+    (33_000, 2, 100),
+]
+
+
+@pytest.mark.parametrize("sizes", _BLOCK_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_blocked_bootstrap_equals_one_shot_draws(sizes):
+    # Blocks give the same means as one iterations x size matrix per side
+    # only while numpy's bounded int32 draws read the 32-bit stream on from
+    # one call to the next; a numpy that buffered them per call fails here.
+    m_size, n_size, iterations = sizes
+    rng = np.random.default_rng(m_size * 1000 + n_size)
+    for seed in (0, 7, 2**64 - 1):
+        m = [float(v) for v in rng.uniform(-1, 1, m_size).round(2)]
+        n = [float(v) for v in rng.uniform(-0.9, 1, n_size).round(2)]
+        pooled = np.concatenate([m, n])
+        draws = np.random.default_rng(seed)
+        blocked = [stats._resampled_means(draws, pooled, iterations, len(s)) for s in (m, n)]
+        for got, expected in zip(blocked, bootstrap_one_shot_means(m, n, iterations, seed)):
+            assert got.tobytes() == expected.tobytes()
+        reached = stats._bootstrap_reached(m, n, iterations, seed)
+        assert reached == bootstrap_reached_one_shot(m, n, iterations, seed)
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced by tracemalloc during call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bootstrap_peak_is_one_block():
+    rng = np.random.default_rng(1102)
+    m = [float(v) for v in rng.normal(0.0, 1.0, 700)]
+    n = [float(v) for v in rng.normal(0.1, 1.0, 700)]
+    peak = _traced_peak(lambda: bootstrap_different(m, n, iterations=10_000, seed=3))
+    assert peak < 2 << 20
+
+
 def test_bootstrap_validation():
     with pytest.raises(ValueError):
         bootstrap_different([1.0], [2.0], iterations=99)
@@ -451,6 +503,27 @@ def test_split_keep_rule_requires_a12_effect():
 def test_split_keep_rule_requires_bootstrap():
     values = [1.0, 2.0, 3.0, 4.0]
     assert split_is_distinct(values, values, seed=0) is False
+
+
+def test_split_keep_rule_skips_bootstrap_without_a12_effect(monkeypatch):
+    calls = []
+    original = stats._bootstrap_reached
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stats, "_bootstrap_reached", counting)
+    tens = [10.0] * 20
+    heavy = [0.0] * 12 + [120.0] * 8
+    assert split_is_distinct(tens, heavy, seed=7) is False
+    assert calls == []
+    assert split_is_distinct(heavy, tens, seed=7) is True
+    assert len(calls) == 1
+    # the iterations bound still holds on a split A12 would reject
+    with pytest.raises(ValueError, match="iterations"):
+        split_is_distinct(tens, heavy, seed=7, iterations=99)
+    assert len(calls) == 1
 
 
 # --- quartiles ---------------------------------------------------------------
