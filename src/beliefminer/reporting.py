@@ -4,6 +4,12 @@ The report mirrors the structure of the original survey-replication write-up:
 an overall Scott-Knott belief ranking, per-project coverage/prevalence, a
 size-stratified ranking, belief trend proportions, and the dataset
 distribution quintet. Every printed number also lands in a CSV.
+
+The markdown table format (header row, alignment row, cell separator and the
+escaping of ``|`` in a cell) is written once, in ``_table``; each
+``render_*`` function only turns its rows into cells, and ``render_report``
+joins its sections, each a heading and its parts, by one rule. The CSVs go
+through ``analysis.write_csv``.
 """
 
 from __future__ import annotations
@@ -114,20 +120,40 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+# Markdown alignment cells for a left- and a right-aligned column.
+_LEFT, _RIGHT = "---", "---:"
+
+
+def _table(columns: tuple[tuple[str, str], ...], rows: list[tuple], note: str = "") -> str:
+    """The report's one markdown table format: a header row of the column
+    titles, an alignment row, one row per tuple of cells, and the note, if
+    any, after a blank line. A ``|`` in any cell is escaped as ``\\|``, so a
+    cell such as a project id never splits its row."""
+
+    def row(cells) -> str:
+        return "| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |"
+
+    lines = [row(title for title, _ in columns), row(align for _, align in columns)]
+    lines += map(row, rows)
+    if note:
+        lines += ["", note]
+    return "\n".join(lines) + "\n"
+
+
 def render_ranking(groups: list[RankedGroup]) -> str:
     """Markdown ranking table, highest rank (strongest support) first.
     Medians and IQRs are scaled x100 and rounded, matching the customary
     presentation; raw values stay in the CSVs."""
     if not groups:
         return "No significant scores; nothing to rank.\n"
-    lines = ["| Rank | Treatment | Median | IQR |", "| ---: | --- | ---: | ---: |"]
-    for group in sorted(groups, key=lambda g: -g.rank):
-        for entry in group.treatments:
-            lines.append(
-                f"| {group.rank} | {_annotate(entry.label)} "
-                f"| {round(entry.median * 100)} | {round(entry.iqr * 100)} |"
-            )
-    return "\n".join(lines) + "\n"
+    return _table(
+        (("Rank", _RIGHT), ("Treatment", _LEFT), ("Median", _RIGHT), ("IQR", _RIGHT)),
+        [
+            (group.rank, _annotate(entry.label), round(entry.median * 100), round(entry.iqr * 100))
+            for group in sorted(groups, key=lambda g: -g.rank)
+            for entry in group.treatments
+        ],
+    )
 
 
 def render_distribution(rows: list[tuple[str, float, float, float]]) -> str:
@@ -135,136 +161,95 @@ def render_distribution(rows: list[tuple[str, float, float, float]]) -> str:
     if not rows:
         return "No project summaries available (no data).\n"
     labels = dict(_DISTRIBUTION_QUANTITIES)
-    lines = [
-        "| Quantity | Q1 | Median | Q3 | Reference median |",
-        "| --- | ---: | ---: | ---: | ---: |",
-    ]
-    for key, q1, median, q3 in rows:
-        reference = REFERENCE_DISTRIBUTION_MEDIANS.get(key, "")
-        lines.append(
-            f"| {labels.get(key, key)} | {_fmt(q1)} | {_fmt(median)} "
-            f"| {_fmt(q3)} | {reference} |"
-        )
-    lines.append("")
-    lines.append(
+    return _table(
+        (("Quantity", _LEFT), ("Q1", _RIGHT), ("Median", _RIGHT), ("Q3", _RIGHT),
+         ("Reference median", _RIGHT)),
+        [
+            (labels.get(key, key), _fmt(q1), _fmt(median), _fmt(q3),
+             REFERENCE_DISTRIBUTION_MEDIANS.get(key, ""))
+            for key, q1, median, q3 in rows
+        ],
         "Reference medians describe the survey-replication corpus this tool"
-        " mirrors, not the analyzed dataset."
+        " mirrors, not the analyzed dataset.",
     )
-    return "\n".join(lines) + "\n"
 
 
 def render_trends(summary: list[tuple[str, float, float]]) -> str:
-    """Markdown growth/decay proportions per belief, highest decay first."""
+    """Markdown growth/decay proportions per belief, highest decay first.
+    ``summarize_trends`` gives a row per belief whenever a project was
+    analyzed, so only a report of zero projects has no rows."""
     if not summary:
-        return "No trend data (no project reached four significant scores).\n"
-    ordered = sorted(
-        summary, key=lambda row: (-row[2], BELIEF_IDS.index(row[0]))
+        return "No trend data (no project analyzed).\n"
+    ordered = sorted(summary, key=lambda row: (-row[2], BELIEF_IDS.index(row[0])))
+    return _table(
+        (("Belief", _LEFT), ("Growth %", _RIGHT), ("Decay %", _RIGHT)),
+        [(_annotate(b), f"{growth:.1f}", f"{decay:.1f}") for b, growth, decay in ordered],
+        f"Reference corpus: B10 showed decay in {REFERENCE_B10_DECAY_PCT}% of projects.",
     )
-    lines = ["| Belief | Growth % | Decay % |", "| --- | ---: | ---: |"]
-    for belief, growth_pct, decay_pct in ordered:
-        lines.append(
-            f"| {_annotate(belief)} | {growth_pct:.1f} | {decay_pct:.1f} |"
-        )
-    lines.append("")
-    lines.append(
-        f"Reference corpus: B10 showed decay in {REFERENCE_B10_DECAY_PCT}%"
-        " of projects."
-    )
-    return "\n".join(lines) + "\n"
 
 
 def render_coverage(rows: list[tuple[str, int, float | None]]) -> str:
     if not rows:
         return "No projects analyzed.\n"
-    lines = [
-        "| Project | Covered beliefs (of 10) | Prevalence % |",
-        "| --- | ---: | ---: |",
-    ]
-    for project_id, covered, prevalence_pct in rows:
-        shown = "n/a" if prevalence_pct is None else f"{prevalence_pct:.1f}"
-        lines.append(f"| {project_id} | {covered} | {shown} |")
-    lines.append("")
-    lines.append(
+    return _table(
+        (("Project", _LEFT), ("Covered beliefs (of 10)", _RIGHT), ("Prevalence %", _RIGHT)),
+        [
+            (project_id, covered, "n/a" if prevalence_pct is None else f"{prevalence_pct:.1f}")
+            for project_id, covered, prevalence_pct in rows
+        ],
         f"Reference corpus: {REFERENCE_COVERAGE_ALL10_PCT}% of projects"
-        " covered all ten beliefs."
+        " covered all ten beliefs.",
     )
-    return "\n".join(lines) + "\n"
 
 
 def render_legend() -> str:
-    lines = [
-        "| Belief | Metric | Survey agreement % |",
-        "| --- | --- | ---: |",
-    ]
-    for belief in BELIEF_IDS:
-        lines.append(f"| {belief} | {BELIEF_TEXT[belief]} | {AGREEMENT_PCT[belief]} |")
-    return "\n".join(lines) + "\n"
+    return _table(
+        (("Belief", _LEFT), ("Metric", _LEFT), ("Survey agreement %", _RIGHT)),
+        [(belief, BELIEF_TEXT[belief], AGREEMENT_PCT[belief]) for belief in BELIEF_IDS],
+    )
 
 
 def render_report(report: Report) -> str:
-    """Assemble the full markdown report; pure and byte-stable."""
+    """Assemble the full markdown report; pure and byte-stable. Each section
+    is a heading and its parts, every one set off by a blank line."""
     windows_total = len(report.window_rows)
     qualified = sum(1 for row in report.window_rows if row.qualified)
     censored = sum(1 for row in report.window_rows if row.right_censored)
-    parts = [
-        "# Belief support report",
-        "",
-        f"Projects analyzed: {len(report.project_ids)}"
-        + (f" ({', '.join(report.project_ids)})" if report.project_ids else ""),
-        f"Release windows: {windows_total} built, {qualified} qualified, "
-        f"{censored} right-censored.",
-        "",
-        "## Dataset distribution",
-        "",
-        render_distribution(report.distribution_rows).rstrip("\n"),
-        "",
-        "## Overall belief ranking",
-        "",
+    named = f" ({', '.join(report.project_ids)})" if report.project_ids else ""
+    contrary = ", ".join(f"{b}: {c}" for b, c in sorted(report.contrary_counts.items()) if c)
+    ranking_parts = [
         "Scott-Knott groups over pooled per-release |rho| scores; a higher"
         " rank means stronger support. Values are x100.",
-        "",
-        render_ranking(report.ranking).rstrip("\n"),
+        render_ranking(report.ranking),
+        contrary and f"Contrary evidence (significant negative rho): {contrary}.",
     ]
-    negatives = {b: c for b, c in sorted(report.contrary_counts.items()) if c}
-    if negatives:
-        noted = ", ".join(f"{belief}: {count}" for belief, count in negatives.items())
-        parts += [
-            "",
-            f"Contrary evidence (significant negative rho): {noted}.",
-        ]
-    parts += [
-        "",
-        "## Coverage and prevalence",
-        "",
-        render_coverage(report.coverage_rows).rstrip("\n"),
-        "",
-        "## Support by release size",
-        "",
-    ]
-    if report.size_thresholds is None:
-        parts.append("No qualified windows; size buckets undefined.")
+    thresholds = report.size_thresholds
+    if thresholds is None:
+        size_parts = ["No qualified windows; size buckets undefined."]
     else:
-        thresholds = report.size_thresholds
-        parts += [
-            f"Buckets from the dataset's D_F distribution: small 3 < D_F < "
-            f"{_fmt(thresholds.median_df)}, medium {_fmt(thresholds.median_df)} <= D_F < "
-            f"{_fmt(thresholds.q3_df)}, large D_F >= {_fmt(thresholds.q3_df)}. "
-            "Windows with exactly 3 files stay unbucketed.",
-            "",
-            render_ranking(report.size_ranking).rstrip("\n"),
+        median_df, q3_df = _fmt(thresholds.median_df), _fmt(thresholds.q3_df)
+        size_parts = [
+            f"Buckets from the dataset's D_F distribution: small 3 < D_F < {median_df},"
+            f" medium {median_df} <= D_F < {q3_df}, large D_F >= {q3_df}."
+            " Windows with exactly 3 files stay unbucketed.",
+            render_ranking(report.size_ranking),
         ]
-    parts += [
-        "",
-        "## Belief trends",
-        "",
-        render_trends(report.trend_summary).rstrip("\n"),
-        "",
-        "## Belief legend",
-        "",
-        render_legend().rstrip("\n"),
-        "",
+    counts = (
+        f"Projects analyzed: {len(report.project_ids)}{named}\n"
+        f"Release windows: {windows_total} built, {qualified} qualified,"
+        f" {censored} right-censored."
+    )
+    sections = [
+        ("# Belief support report", [counts]),
+        ("## Dataset distribution", [render_distribution(report.distribution_rows)]),
+        ("## Overall belief ranking", ranking_parts),
+        ("## Coverage and prevalence", [render_coverage(report.coverage_rows)]),
+        ("## Support by release size", size_parts),
+        ("## Belief trends", [render_trends(report.trend_summary)]),
+        ("## Belief legend", [render_legend()]),
     ]
-    return "\n".join(parts)
+    blocks = [block.rstrip("\n") for heading, parts in sections for block in (heading, *parts)]
+    return "\n\n".join(filter(None, blocks)) + "\n"
 
 
 def summarize_trends(

@@ -8,6 +8,7 @@ import gc
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -631,6 +632,7 @@ def test_report_on_accepted_empty_assessment(tmp_path, data_dir, capsys):
     text = (out / "report.md").read_text(encoding="utf-8")
     assert "Projects analyzed: 0" in text
     assert "No significant scores; nothing to rank." in text
+    assert "## Belief trends\n\nNo trend data (no project analyzed).\n" in text
     populations = (out / "populations.csv").read_bytes()
     assert populations == (assessment / "populations.csv").read_bytes()
 
@@ -898,6 +900,21 @@ def test_report_counts_a_summary_project_without_windows(tmp_path, data_dir, cap
     assert main(["report", str(assessment), "--out", str(out)]) == 0
     capsys.readouterr()
     assert "Projects analyzed: 2 (fixture, other)" in (out / "report.md").read_text(encoding="utf-8")
+
+
+def test_report_escapes_a_pipe_in_a_project_id(tmp_path, data_dir, capsys):
+    # project ids are cache directory names, which may hold a "|"
+    caches = tmp_path / "caches"
+    _copy_fixture_caches(data_dir, caches / "a|b")
+    assessment, out = tmp_path / "assessment", tmp_path / "report"
+    assert main(["assess", str(caches), "--out", str(assessment)]) == 0
+    assert main(["report", str(assessment), "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "report.md").read_text(encoding="utf-8")
+    (row,) = [line for line in text.splitlines() if line.startswith("| a")]
+    assert row == "| a\\|b | 0 | n/a |"
+    # a markdown table row splits at each "|" that no backslash escapes
+    assert len(re.split(r"(?<!\\)\|", row)[1:-1]) == 3
 
 
 def test_assess_and_report_check_the_summary_by_one_rule(tmp_path, data_dir, capsys):

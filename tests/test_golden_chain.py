@@ -16,9 +16,9 @@ qualified windows and 47 significant scores, and the goldens in
 - ``summary.csv`` as ``assess`` derives it when a cache has no
   ``summary.json``, as every ``synth`` cache does.
 
-Left uncovered: right-censored and unqualified windows, ``decay`` labels,
-and mined caches with their ``summary.json`` (the fixture goldens cover
-those). The chain runs in about 0.4 s.
+The chain leaves out right-censored and unqualified windows and mined
+caches with their ``summary.json``, which the fixture goldens pin, and
+``decay`` labels, which no golden file pins. It runs in about 0.4 s.
 
 After a deliberate output change, rewrite the goldens with
 
